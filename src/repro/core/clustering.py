@@ -224,7 +224,8 @@ def optimize_clustering(
     *screened* with a loose chain-analysis tolerance (``screen_eps``) and
     a short bisection, then the ``top_k`` structures — plus, with
     ``refine=True``, a neighbourhood of the winner — are re-optimised at
-    full tolerance (``tail_rel_eps``).
+    full tolerance (``tail_rel_eps``).  Should none of them stay
+    feasible at full tolerance, the next ``top_k`` of the ranking are.
 
     Structures are enumerated in ``(n1, n2, n3)`` order and analysed on a
     shared :class:`~repro.analysis.partial_info.PartialInfoSolver`, so
@@ -236,6 +237,8 @@ def optimize_clustering(
     """
     if e < 0:
         raise PolicyError(f"mean recharge rate must be >= 0, got {e}")
+    if top_k < 1:
+        raise PolicyError(f"top_k must be >= 1, got {top_k}")
 
     solver = PartialInfoSolver(distribution, delta1, delta2)
     n1s, n2s, n3_offsets = _boundary_candidates(
@@ -296,14 +299,20 @@ def optimize_clustering(
         )
         scored.sort(key=lambda item: -item[0])
 
-    finalists = [s for _, s in scored[:top_k]]
-    best = _search(
-        distribution, e, delta1, delta2, finalists, None, tail_rel_eps,
-        solver=solver,
+    # A structure feasible at screening tolerance can turn infeasible at
+    # full tolerance; when all ``top_k`` finalists do, the next ``top_k``
+    # of the ranking take their place.
+    for start in range(0, len(scored), top_k):
+        finalists = [s for _, s in scored[start:start + top_k]]
+        best = _search(
+            distribution, e, delta1, delta2, finalists, None, tail_rel_eps,
+            solver=solver,
+        )
+        if best is not None:
+            return best
+    raise PolicyError(
+        "screened structures all became infeasible at full tolerance"
     )
-    if best is None:  # pragma: no cover - screening guarantees a finalist
-        raise PolicyError("screened structures all became infeasible")
-    return best
 
 
 def _screen_group(

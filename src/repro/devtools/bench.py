@@ -242,15 +242,14 @@ def _bench_network(
 def _bench_batch(rounds: int, quick: bool) -> Dict[str, Any]:
     """Per-run vectorized dispatch vs one batched scan call at M runs.
 
-    Times ``M`` independent ``simulate_single`` calls against a single
-    :func:`repro.sim.batch_kernel.simulate_batch` call over the same M
-    specs.  Every cell checks the batched results against the per-run
-    ones bit-for-bit on both dispatch tiers — the default one (native
-    OpenMP batch scan when compiled, else numpy) and the forced
-    pure-numpy path — so the section doubles as an end-to-end
-    consistency check of the mega-kernel.  The per-run baseline itself
-    runs the serial native single scan when available, making the
-    serial / threaded / numpy agreement explicit in the two flags.
+    Times ``M`` independent ``simulate_single`` calls (each a batch of
+    one) against a single :func:`repro.sim.batch_kernel.simulate_batch`
+    call over the same M specs, so the speedup is what packing runs
+    together saves in per-call overhead.  Every cell checks the batched
+    results against the per-run ones bit-for-bit on both scan tiers —
+    the default one (native batch scan when compiled, else numpy) and
+    the forced pure-numpy path — so the section doubles as an
+    end-to-end consistency check of the batch packer.
     """
     events = WeibullInterArrival(40, 3)
     recharge = BernoulliRecharge(0.5, 1.0)
@@ -311,9 +310,11 @@ def _bench_batch(rounds: int, quick: bool) -> Dict[str, Any]:
 def _bench_aoi(horizon: int, rounds: int) -> Dict[str, Any]:
     """AoI accumulation overhead on the single-sensor hot path.
 
-    Times the vectorized backend with AoI disabled (``collect_aoi=False``
-    — exactly the pre-AoI QoM hot path, the flag reaches the native
-    scan) against the default AoI-on run.  Each timing sample loops the
+    Times the vectorized backend with AoI disabled (``collect_aoi=False``)
+    against the default AoI-on run.  The batch scans always compute the
+    integer AoI statistics and the flag only drops them from the result,
+    so the cell bounds the cost of building and attaching them.  Each
+    timing sample loops the
     run ``repeats`` times so short horizons stay well above timer
     resolution; best-of-``rounds`` then discards scheduler noise.
     Every cell also asserts the AoI contract end to end: the reference
@@ -764,7 +765,6 @@ def _run_bench_timed(
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
             "native_scan": native is not None,
-            "native_openmp": native.openmp if native is not None else False,
         },
         "policies": policies,
         "aoi": _bench_aoi(horizon, rounds),

@@ -51,6 +51,15 @@ class ServeError(ReproError):
     """
 
 
+class RequestTooLargeError(ServeError):
+    """Raised for a ``repro serve`` request whose work exceeds a budget.
+
+    Example: a ``/sweep`` asking for more simulated slots in total than
+    the service will hold in memory at once.  The HTTP layer maps it to
+    ``413``.
+    """
+
+
 class SimulationError(ReproError):
     """Raised for invalid simulation configurations or runtime violations.
 

@@ -27,6 +27,8 @@ except ImportError:  # pragma: no cover - fallback environment
 __all__ = [
     "ERROR_RESPONSE_SCHEMA",
     "HEALTH_RESPONSE_SCHEMA",
+    "MAX_HORIZON",
+    "MAX_SWEEP_CELLS",
     "POLICY_FAMILIES",
     "SIMULATE_REQUEST_SCHEMA",
     "SIMULATE_RESPONSE_SCHEMA",
@@ -50,6 +52,21 @@ POLICY_FAMILIES = (
     "greedy",
     "periodic",
 )
+
+#: Longest run a ``/simulate`` or ``/sweep`` request may ask for.  The
+#: AoI statistics are exact int64 sums; the squared-age term of one gap
+#: of g slots is formed as ((g-1)g/2)(2g-1), about g**3, which overflows
+#: past about 2.09e6 slots.  2e6 stays below that and covers the
+#: paper's 1e6-slot runs.
+MAX_HORIZON = 2_000_000
+
+#: Largest ``n_runs * horizon`` one ``/sweep`` may ask for, checked
+#: before any array is allocated.  The batch packer holds the drawn
+#: events, recharge and coins, their packed copies and the cumulative
+#: recharge at once: 42 to 51 bytes per simulated slot measured on
+#: 8 x 1e6-slot batches.  At a conservative 64 bytes per slot, 16e6
+#: cells bound one sweep near 1 GiB.
+MAX_SWEEP_CELLS = 16_000_000
 
 _NON_NEGATIVE_NUMBER = {"type": "number", "minimum": 0}
 _POSITIVE_NUMBER = {"type": "number", "exclusiveMinimum": 0}
@@ -143,7 +160,7 @@ _SIMULATE_FIELDS: Dict[str, Any] = dict(_SOLVE_FIELDS)
 _SIMULATE_FIELDS.update(
     {
         "capacity": _POSITIVE_NUMBER,
-        "horizon": {"type": "integer", "minimum": 0},
+        "horizon": {"type": "integer", "minimum": 0, "maximum": MAX_HORIZON},
         "seed": {"type": "integer", "minimum": 0},
         "recharge": _RECHARGE_SPEC,
         "initial_energy": _NON_NEGATIVE_NUMBER,

@@ -9,9 +9,10 @@ the parser never needs keep-alive or chunked framing.
 
 Error mapping: schema violations and any other
 :class:`~repro.exceptions.ReproError` from the solver/simulator stack
-become ``400`` JSON bodies (``{"error": ..., "kind": <class name>}``);
-unexpected failures become ``500``; unknown paths ``404``; wrong
-methods ``405``.  Every error body validates against
+become ``400`` JSON bodies (``{"error": ..., "kind": <class name>}``),
+except :class:`~repro.exceptions.RequestTooLargeError` (a request over
+a work budget), which becomes ``413``; unexpected failures become
+``500``; unknown paths ``404``; wrong methods ``405``.  Every error body validates against
 ``ERROR_RESPONSE_SCHEMA``.
 
 :class:`ServerThread` runs the whole loop in a daemon thread and binds
@@ -26,7 +27,7 @@ import json
 import threading
 from typing import Any, Dict, Optional, Tuple
 
-from repro.exceptions import ReproError, ServeError
+from repro.exceptions import ReproError, RequestTooLargeError, ServeError
 from repro.serve.service import PolicyService
 
 __all__ = ["ServerThread", "run_server", "serve_forever"]
@@ -40,6 +41,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Payload Too Large",
     500: "Internal Server Error",
 }
 
@@ -137,7 +139,7 @@ async def _handle_connection(
         try:
             status, payload = await _dispatch(service, method, path, body)
         except ReproError as exc:
-            status = 400
+            status = 413 if isinstance(exc, RequestTooLargeError) else 400
             payload = {"error": str(exc), "kind": type(exc).__name__}
         except asyncio.CancelledError:
             raise

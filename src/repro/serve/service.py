@@ -55,7 +55,7 @@ from repro.energy.recharge import (
 )
 from repro.events.base import InterArrivalDistribution
 from repro.events.spec import parse_distribution
-from repro.exceptions import ServeError
+from repro.exceptions import RequestTooLargeError, ServeError
 from repro.serve import schema as serve_schema
 from repro.serve.policies import (
     canonical_solve_key,
@@ -399,6 +399,14 @@ class PolicyService:
         serve_schema.validate(
             request, serve_schema.SWEEP_REQUEST_SCHEMA, "sweep"
         )
+        cells = int(request["n_runs"]) * int(request["horizon"])
+        if cells > serve_schema.MAX_SWEEP_CELLS:
+            self._count("sweep.rejected_too_large")
+            raise RequestTooLargeError(
+                f"sweep of {request['n_runs']} runs x {request['horizon']} "
+                f"slots = {cells} slots exceeds the budget of "
+                f"{serve_schema.MAX_SWEEP_CELLS}"
+            )
         started = time.perf_counter()
         self._count("requests.sweep")
         distribution, family, rate, delta1, delta2, params = (

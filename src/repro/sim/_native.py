@@ -1,4 +1,4 @@
-"""Optional compiled slot-scan for the vectorized kernel.
+"""Optional compiled slot-scan for the batched simulation kernel.
 
 The dense per-slot scan (recharge reflection + table lookup + coin
 comparison) is a few floating-point operations per slot, which a C loop
@@ -12,13 +12,12 @@ operation is a plain IEEE-754 double add/subtract/compare in program
 order and the source is compiled with ``-ffp-contract=off`` and without
 any fast-math flags, so the compiler cannot fuse or reorder them.
 
-Batch entry points: ``repro_batch_scan`` / ``repro_network_batch_scan``
-run many independent configurations over padded ``(runs, slots)``
-arrays in one call, dispatching each run to the same ``static`` per-run
-scan the single-run symbols use — so batching cannot change a single
-run's arithmetic.  When the compiler supports ``-fopenmp`` the batch
-loops run ``parallel for`` over runs; since runs share no mutable
-state, threading changes scheduling only, never results.
+The two entry points, ``repro_batch_scan`` and
+``repro_network_batch_scan``, run many independent configurations over
+packed ``(runs, slots)`` arrays in one call, one serial loop over runs;
+a single run is a batch of one.  Per-run parameters travel as two
+small matrices (integers and doubles), so a call marshals a fixed
+handful of pointers however many runs it carries.
 
 The accelerator is best-effort: if ``gcc`` is missing, compilation
 fails, or ``REPRO_NATIVE_SCAN=0`` is set, callers get ``None`` and fall
@@ -45,16 +44,15 @@ _SOURCE = r"""
 
 /* One sensor, `horizon` slots, reflected-battery arithmetic: the level
  * before each decision is (neg + cs[t]) - shave.  Must mirror
- * repro.sim.engine._simulate_reference operation-for-operation.  Shared
- * verbatim by the single-run and batch entry points below.
+ * repro.sim.engine._simulate_reference operation-for-operation.
  *
- * Age-of-Information accumulators (compute_aoi != 0): a capture at
- * 1-based slot t closes a gap of g = t - last_capture slots whose
- * end-of-slot ages are 1 .. g-1, contributing g(g-1)/2 to the age area
- * and (g-1)g(2g-1)/6 to the squared-age area; the trailing censored
- * gap contributes ages 1 .. r.  Exact int64 arithmetic in the same
- * operation order as the Python reference (overflow bound: horizons or
- * gaps beyond ~3e6 slots overflow the squared sum). */
+ * Age-of-Information accumulators: a capture at 1-based slot t closes
+ * a gap of g = t - last_capture slots whose end-of-slot ages are
+ * 1 .. g-1, contributing g(g-1)/2 to the age area and (g-1)g(2g-1)/6 to
+ * the squared-age area; the trailing censored gap contributes ages
+ * 1 .. r.  Exact int64 arithmetic in the same operation order as the
+ * Python reference (overflow bound: a gap beyond ~2.09e6 slots
+ * overflows the squared-age product before its division by 3). */
 static void scan_one(
     int64_t horizon,
     const double *cs,        /* cumulative recharge, cs[t] = sum a_1..a_{t+1} */
@@ -63,9 +61,8 @@ static void scan_one(
     const double *table,     /* recency table, or per-slot probs (slot_mode) */
     int64_t table_size,
     double tail,
-    int32_t slot_mode,       /* 1: table is indexed by slot, not recency */
-    int32_t full_info,
-    int32_t compute_aoi,     /* 0: skip the age accumulators entirely */
+    int64_t slot_mode,       /* 1: table is indexed by slot, not recency */
+    int64_t full_info,
     double capacity,
     double delta1,
     double delta2,
@@ -82,6 +79,7 @@ static void scan_one(
     int64_t activations = 0, captures = 0, blocked = 0;
     int64_t aoi_area = 0, aoi_sq = 0, aoi_max = 0, last_capture = 0;
     int64_t recency = 1;
+    int64_t residual;
     int64_t t;
     for (t = 0; t < horizon; t++) {
         double pre = neg + cs[t];
@@ -104,16 +102,14 @@ static void scan_one(
             } else {
                 activations++;
                 if (event) {
+                    int64_t gap = (t + 1) - last_capture;
                     captured = 1;
                     captures++;
                     neg = neg - cost_capture;
-                    if (compute_aoi) {
-                        int64_t gap = (t + 1) - last_capture;
-                        aoi_area += gap * (gap - 1) / 2;
-                        aoi_sq += ((gap - 1) * gap / 2) * (2 * gap - 1) / 3;
-                        if (gap - 1 > aoi_max) aoi_max = gap - 1;
-                        last_capture = t + 1;
-                    }
+                    aoi_area += gap * (gap - 1) / 2;
+                    aoi_sq += ((gap - 1) * gap / 2) * (2 * gap - 1) / 3;
+                    if (gap - 1 > aoi_max) aoi_max = gap - 1;
+                    last_capture = t + 1;
                 } else {
                     neg = neg - delta1;
                 }
@@ -125,12 +121,10 @@ static void scan_one(
             recency = captured ? 1 : recency + 1;
         }
     }
-    if (compute_aoi) {
-        int64_t residual = horizon - last_capture;
-        aoi_area += residual * (residual + 1) / 2;
-        aoi_sq += (residual * (residual + 1) / 2) * (2 * residual + 1) / 3;
-        if (residual > aoi_max) aoi_max = residual;
-    }
+    residual = horizon - last_capture;
+    aoi_area += residual * (residual + 1) / 2;
+    aoi_sq += (residual * (residual + 1) / 2) * (2 * residual + 1) / 3;
+    if (residual > aoi_max) aoi_max = residual;
     out_counts[0] = activations;
     out_counts[1] = captures;
     out_counts[2] = blocked;
@@ -142,79 +136,35 @@ static void scan_one(
     out_state[1] = shave;
 }
 
-void repro_scan(
-    int64_t horizon,
-    const double *cs,
-    const uint8_t *events,
-    const double *coins,
-    const double *table,
-    int64_t table_size,
-    double tail,
-    int32_t slot_mode,
-    int32_t full_info,
-    int32_t compute_aoi,
-    double capacity,
-    double delta1,
-    double delta2,
-    double initial,
-    int64_t *out_counts,
-    double *out_state)
-{
-    scan_one(horizon, cs, events, coins, table, table_size, tail,
-             slot_mode, full_info, compute_aoi, capacity, delta1, delta2,
-             initial, out_counts, out_state);
-}
-
 /* Batched single-sensor scan: `n_runs` independent configurations over
- * padded (n_runs, stride) row-major arrays; run r uses the first
- * lengths[r] slots of its row.  Per-run parameters arrive as parallel
- * vectors; recency/slot tables are concatenated into `tables` and
- * addressed via table_offsets.  Padding beyond lengths[r] is never
- * read.  `parallel` gates the OpenMP team (0 forces the serial loop so
- * serial==OpenMP exactness is directly testable); either way each run
- * executes scan_one verbatim, so results are independent of
- * scheduling. */
+ * (n_runs, stride) row-major arrays; run r uses the first length of its
+ * row, and padding beyond it is never read.  Recency/slot tables are
+ * concatenated into `tables`.  Per-run parameters, one row per run:
+ *   iparams[r] = length, table_offset, table_size, slot_mode, full_info
+ *   fparams[r] = tail, capacity, delta1, delta2, initial */
 void repro_batch_scan(
     int64_t n_runs,
     int64_t stride,
-    const int64_t *lengths,
     const double *cs,            /* (n_runs, stride) */
     const uint8_t *events,       /* (n_runs, stride) */
     const double *coins,         /* (n_runs, stride) */
-    const double *tables,        /* concatenated table storage */
-    const int64_t *table_offsets,
-    const int64_t *table_sizes,
-    const double *tails,
-    const int32_t *slot_modes,
-    const int32_t *full_infos,
-    const double *capacities,
-    const double *delta1s,
-    const double *delta2s,
-    const double *initials,
-    int32_t parallel,
+    const double *tables,
+    const int64_t *iparams,      /* (n_runs, 5) */
+    const double *fparams,       /* (n_runs, 5) */
     int64_t *out_counts,         /* (n_runs, 7) */
     double *out_state)           /* (n_runs, 2) */
 {
     int64_t r;
-    (void)parallel;
-#ifdef _OPENMP
-    #pragma omp parallel for schedule(static) if(parallel)
-#endif
     for (r = 0; r < n_runs; r++) {
-        scan_one(lengths[r],
+        const int64_t *ip = iparams + r * 5;
+        const double *fp = fparams + r * 5;
+        scan_one(ip[0],
                  cs + r * stride,
                  events + r * stride,
                  coins + r * stride,
-                 tables + table_offsets[r],
-                 table_sizes[r],
-                 tails[r],
-                 slot_modes[r],
-                 full_infos[r],
-                 1,
-                 capacities[r],
-                 delta1s[r],
-                 delta2s[r],
-                 initials[r],
+                 tables + ip[1], ip[2],
+                 fp[0], ip[3], ip[4],
+                 fp[1], fp[2], fp[3], fp[4],
                  out_counts + r * 7,
                  out_state + r * 2);
     }
@@ -232,8 +182,7 @@ void repro_batch_scan(
  * blocked, last_capture_slot.  out_aoi holds the system-level
  * Age-of-Information accumulators (the age resets on *any* sensor's
  * capture): area, area_sq, max_age, last_capture_slot.
- * `row_stride` is the allocated slot count per cs row (== horizon for
- * the single-run entry, the padded batch stride otherwise). */
+ * `row_stride` is the allocated slot count per cs row. */
 static void scan_network_one(
     int64_t horizon,
     int64_t n_sensors,
@@ -245,8 +194,8 @@ static void scan_network_one(
     const double *table,
     int64_t table_size,
     double tail,
-    int32_t slot_mode,
-    int32_t full_info,
+    int64_t slot_mode,
+    int64_t full_info,
     double capacity,
     double delta1,
     double delta2,
@@ -326,97 +275,44 @@ static void scan_network_one(
     out_aoi[3] = last_capture;
 }
 
-void repro_network_scan(
-    int64_t horizon,
-    int64_t n_sensors,
-    const double *cs,
-    const uint8_t *events,
-    const double *coins,
-    const int64_t *resp,
-    const double *table,
-    int64_t table_size,
-    double tail,
-    int32_t slot_mode,
-    int32_t full_info,
-    double capacity,
-    double delta1,
-    double delta2,
-    double initial,
-    int64_t *out_counts,
-    double *out_state,
-    int64_t *out_aoi)
-{
-    scan_network_one(horizon, n_sensors, horizon, cs, events, coins, resp,
-                     table, table_size, tail, slot_mode, full_info,
-                     capacity, delta1, delta2, initial,
-                     out_counts, out_state, out_aoi);
-}
-
 /* Batched network scan.  Runs may have different sensor counts: run r
- * owns sensor rows [sensor_offsets[r], sensor_offsets[r] +
- * n_sensors[r]) of the (total_rows, stride) cs array and the matching
- * rows of out_counts/out_state; its event/coin/resp row is row r of
- * the (n_runs, stride) arrays. */
+ * owns sensor rows [sensor_offset, sensor_offset + n_sensors) of the
+ * (total_rows, stride) cs array and the matching rows of
+ * out_counts/out_state; its event/coin/resp row is row r of the
+ * (n_runs, stride) arrays.  Per-run parameters, one row per run:
+ *   iparams[r] = length, n_sensors, sensor_offset, table_offset,
+ *                table_size, slot_mode, full_info
+ *   fparams[r] = tail, capacity, delta1, delta2, initial */
 void repro_network_batch_scan(
     int64_t n_runs,
     int64_t stride,
-    const int64_t *lengths,
-    const int64_t *n_sensors,
-    const int64_t *sensor_offsets,
     const double *cs,            /* (total_rows, stride) */
     const uint8_t *events,       /* (n_runs, stride) */
     const double *coins,         /* (n_runs, stride) */
     const int64_t *resp,         /* (n_runs, stride) */
     const double *tables,
-    const int64_t *table_offsets,
-    const int64_t *table_sizes,
-    const double *tails,
-    const int32_t *slot_modes,
-    const int32_t *full_infos,
-    const double *capacities,
-    const double *delta1s,
-    const double *delta2s,
-    const double *initials,
-    int32_t parallel,
+    const int64_t *iparams,      /* (n_runs, 7) */
+    const double *fparams,       /* (n_runs, 5) */
     int64_t *out_counts,         /* (total_rows, 4) */
     double *out_state,           /* (total_rows, 2) */
     int64_t *out_aoi)            /* (n_runs, 4) */
 {
     int64_t r;
-    (void)parallel;
-#ifdef _OPENMP
-    #pragma omp parallel for schedule(static) if(parallel)
-#endif
     for (r = 0; r < n_runs; r++) {
-        scan_network_one(lengths[r],
-                         n_sensors[r],
-                         stride,
-                         cs + sensor_offsets[r] * stride,
+        const int64_t *ip = iparams + r * 7;
+        const double *fp = fparams + r * 5;
+        scan_network_one(ip[0], ip[1], stride,
+                         cs + ip[2] * stride,
                          events + r * stride,
                          coins + r * stride,
                          resp + r * stride,
-                         tables + table_offsets[r],
-                         table_sizes[r],
-                         tails[r],
-                         slot_modes[r],
-                         full_infos[r],
-                         capacities[r],
-                         delta1s[r],
-                         delta2s[r],
-                         initials[r],
-                         out_counts + sensor_offsets[r] * 4,
-                         out_state + sensor_offsets[r] * 2,
+                         tables + ip[3], ip[4],
+                         fp[0], ip[5], ip[6],
+                         fp[1], fp[2], fp[3], fp[4],
+                         out_counts + ip[2] * 4,
+                         out_state + ip[2] * 2,
                          out_aoi + r * 4);
     }
-}
-
-int32_t repro_openmp_enabled(void)
-{
-#ifdef _OPENMP
-    return 1;
-#else
-    return 0;
-#endif
 }
 """
 
@@ -424,186 +320,41 @@ int32_t repro_openmp_enabled(void)
 #: of a+b-c chains), no fast-math, plain -O2.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-#: Preferred variant: the batch loops thread over runs.  OpenMP cannot
-#: affect results — each run is an independent scan_one call — so a
-#: fallback compile without it differs only in batch wall-clock.
-_OMP_FLAG = "-fopenmp"
-
 _ENV_FLAG = "REPRO_NATIVE_SCAN"
-
-_I64P = ctypes.POINTER(ctypes.c_int64)
-_F64P = ctypes.POINTER(ctypes.c_double)
-_U8P = ctypes.POINTER(ctypes.c_uint8)
-_I32P = ctypes.POINTER(ctypes.c_int32)
 
 # Module-level compile cache: None = not tried yet, False = unavailable.
 _lib_cache: Optional[object] = None
 _lib_tried = False
 
 
-def _c(arr: np.ndarray, dtype: type) -> np.ndarray:
-    return np.ascontiguousarray(arr, dtype=dtype)
+def _address(arr: np.ndarray, dtype: type) -> int:
+    """Address of ``arr``'s buffer after checking its dtype and layout.
+
+    Plain integer addresses (``c_void_p`` arguments) marshal several
+    times faster than typed ``data_as`` pointers, which dominates a
+    batch of one.
+    """
+    if arr.dtype != dtype or not arr.flags.c_contiguous:
+        raise TypeError(
+            f"native scan needs a C-contiguous {np.dtype(dtype)} array, "
+            f"got {arr.dtype} (c_contiguous={arr.flags.c_contiguous})"
+        )
+    return int(arr.ctypes.data)
 
 
 class NativeScan:
-    """ctypes wrapper around the compiled scan symbols."""
+    """ctypes wrapper around the compiled batch scan symbols."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
-        self._fn = lib.repro_scan
-        self._fn.restype = None
-        self._fn.argtypes = [
-            ctypes.c_int64,
-            _F64P,
-            _U8P,
-            _F64P,
-            _F64P,
-            ctypes.c_int64,
-            ctypes.c_double,
-            ctypes.c_int32,
-            ctypes.c_int32,
-            ctypes.c_int32,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_double,
-            _I64P,
-            _F64P,
-        ]
-        self._net_fn = lib.repro_network_scan
-        self._net_fn.restype = None
-        self._net_fn.argtypes = [
-            ctypes.c_int64,
-            ctypes.c_int64,
-            _F64P,
-            _U8P,
-            _F64P,
-            _I64P,
-            _F64P,
-            ctypes.c_int64,
-            ctypes.c_double,
-            ctypes.c_int32,
-            ctypes.c_int32,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_double,
-            ctypes.c_double,
-            _I64P,
-            _F64P,
-            _I64P,
-        ]
         self._batch_fn = lib.repro_batch_scan
         self._batch_fn.restype = None
-        self._batch_fn.argtypes = [
-            ctypes.c_int64,
-            ctypes.c_int64,
-            _I64P,
-            _F64P,
-            _U8P,
-            _F64P,
-            _F64P,
-            _I64P,
-            _I64P,
-            _F64P,
-            _I32P,
-            _I32P,
-            _F64P,
-            _F64P,
-            _F64P,
-            _F64P,
-            ctypes.c_int32,
-            _I64P,
-            _F64P,
-        ]
+        self._batch_fn.argtypes = (
+            [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 8
+        )
         self._net_batch_fn = lib.repro_network_batch_scan
         self._net_batch_fn.restype = None
-        self._net_batch_fn.argtypes = [
-            ctypes.c_int64,
-            ctypes.c_int64,
-            _I64P,
-            _I64P,
-            _I64P,
-            _F64P,
-            _U8P,
-            _F64P,
-            _I64P,
-            _F64P,
-            _I64P,
-            _I64P,
-            _F64P,
-            _I32P,
-            _I32P,
-            _F64P,
-            _F64P,
-            _F64P,
-            _F64P,
-            ctypes.c_int32,
-            _I64P,
-            _F64P,
-            _I64P,
-        ]
-        omp_fn = lib.repro_openmp_enabled
-        omp_fn.restype = ctypes.c_int32
-        omp_fn.argtypes = []
-        #: True when the library was compiled with OpenMP, i.e. batch
-        #: calls with ``parallel=True`` actually thread over runs.
-        self.openmp: bool = bool(omp_fn())
-
-    def scan(
-        self,
-        cs: np.ndarray,
-        events: np.ndarray,
-        coins: np.ndarray,
-        table: np.ndarray,
-        tail: float,
-        slot_mode: bool,
-        full_info: bool,
-        capacity: float,
-        delta1: float,
-        delta2: float,
-        initial: float,
-        compute_aoi: bool = True,
-    ) -> Tuple[int, int, int, float, float, Tuple[int, int, int, int]]:
-        """Run the scan.
-
-        Returns ``(activations, captures, blocked, neg, shave, aoi)``
-        where ``aoi = (area, area_sq, max_age, last_capture_slot)`` —
-        all zeros when ``compute_aoi`` is False.
-        """
-        horizon = cs.shape[0]
-        cs_c = _c(cs, np.float64)
-        ev_c = _c(events, np.uint8)
-        coin_c = _c(coins, np.float64)
-        table_c = _c(table, np.float64)
-        table_size = table_c.shape[0]
-        if table_size == 0:  # keep the pointer valid; never dereferenced
-            table_c = np.zeros(1, dtype=np.float64)
-        counts = np.zeros(7, dtype=np.int64)
-        state = np.zeros(2, dtype=np.float64)
-        self._fn(
-            ctypes.c_int64(horizon),
-            cs_c.ctypes.data_as(_F64P),
-            ev_c.ctypes.data_as(_U8P),
-            coin_c.ctypes.data_as(_F64P),
-            table_c.ctypes.data_as(_F64P),
-            ctypes.c_int64(table_size),
-            ctypes.c_double(tail),
-            ctypes.c_int32(1 if slot_mode else 0),
-            ctypes.c_int32(1 if full_info else 0),
-            ctypes.c_int32(1 if compute_aoi else 0),
-            ctypes.c_double(capacity),
-            ctypes.c_double(delta1),
-            ctypes.c_double(delta2),
-            ctypes.c_double(initial),
-            counts.ctypes.data_as(_I64P),
-            state.ctypes.data_as(_F64P),
-        )
-        return (
-            int(counts[0]),
-            int(counts[1]),
-            int(counts[2]),
-            float(state[0]),
-            float(state[1]),
-            (int(counts[3]), int(counts[4]), int(counts[5]), int(counts[6])),
+        self._net_batch_fn.argtypes = (
+            [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 10
         )
 
     def scan_batch(
@@ -611,118 +362,39 @@ class NativeScan:
         cs: np.ndarray,
         events: np.ndarray,
         coins: np.ndarray,
-        lengths: np.ndarray,
         tables: np.ndarray,
-        table_offsets: np.ndarray,
-        table_sizes: np.ndarray,
-        tails: np.ndarray,
-        slot_modes: np.ndarray,
-        full_infos: np.ndarray,
-        capacities: np.ndarray,
-        delta1s: np.ndarray,
-        delta2s: np.ndarray,
-        initials: np.ndarray,
-        parallel: bool = True,
+        iparams: np.ndarray,
+        fparams: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Run ``n_runs`` independent scans over padded batch arrays.
+        """Run ``n_runs`` independent scans over packed batch arrays.
 
-        ``cs``/``events``/``coins`` are ``(n_runs, stride)``; run ``r``
-        occupies the first ``lengths[r]`` columns of its row.  Returns
-        ``(counts, state)``: ``counts[r] = (activations, captures,
-        blocked, aoi_area, aoi_area_sq, aoi_max, last_capture_slot)``,
-        ``state[r] = (neg, shave)``.  ``parallel=False`` forces the
-        serial loop even in an OpenMP build (for exactness tests and
-        single-run-comparable timings).
+        ``cs``/``coins`` are float64 and ``events`` uint8, all
+        ``(n_runs, stride)``; run ``r`` occupies the first
+        ``iparams[r, 0]`` columns of its row.  ``iparams`` rows are
+        ``(length, table_offset, table_size, slot_mode, full_info)``
+        and ``fparams`` rows ``(tail, capacity, delta1, delta2,
+        initial)``.  Returns ``(counts, state)``: ``counts[r] =
+        (activations, captures, blocked, aoi_area, aoi_area_sq,
+        aoi_max, last_capture_slot)``, ``state[r] = (neg, shave)``.
         """
         n_runs, stride = cs.shape
-        cs_c = _c(cs, np.float64)
-        ev_c = _c(events, np.uint8)
-        coin_c = _c(coins, np.float64)
-        tables_c = _c(tables, np.float64)
-        if tables_c.size == 0:  # keep the pointer valid; never dereferenced
-            tables_c = np.zeros(1, dtype=np.float64)
-        counts = np.zeros((n_runs, 7), dtype=np.int64)
-        state = np.zeros((n_runs, 2), dtype=np.float64)
+        if tables.size == 0:  # keep the pointer valid; never dereferenced
+            tables = np.zeros(1, dtype=np.float64)
+        counts = np.empty((n_runs, 7), dtype=np.int64)
+        state = np.empty((n_runs, 2), dtype=np.float64)
         self._batch_fn(
-            ctypes.c_int64(n_runs),
-            ctypes.c_int64(stride),
-            _c(lengths, np.int64).ctypes.data_as(_I64P),
-            cs_c.ctypes.data_as(_F64P),
-            ev_c.ctypes.data_as(_U8P),
-            coin_c.ctypes.data_as(_F64P),
-            tables_c.ctypes.data_as(_F64P),
-            _c(table_offsets, np.int64).ctypes.data_as(_I64P),
-            _c(table_sizes, np.int64).ctypes.data_as(_I64P),
-            _c(tails, np.float64).ctypes.data_as(_F64P),
-            _c(slot_modes, np.int32).ctypes.data_as(_I32P),
-            _c(full_infos, np.int32).ctypes.data_as(_I32P),
-            _c(capacities, np.float64).ctypes.data_as(_F64P),
-            _c(delta1s, np.float64).ctypes.data_as(_F64P),
-            _c(delta2s, np.float64).ctypes.data_as(_F64P),
-            _c(initials, np.float64).ctypes.data_as(_F64P),
-            ctypes.c_int32(1 if parallel else 0),
-            counts.ctypes.data_as(_I64P),
-            state.ctypes.data_as(_F64P),
+            n_runs,
+            stride,
+            _address(cs, np.float64),
+            _address(events, np.uint8),
+            _address(coins, np.float64),
+            _address(tables, np.float64),
+            _address(iparams, np.int64),
+            _address(fparams, np.float64),
+            _address(counts, np.int64),
+            _address(state, np.float64),
         )
         return counts, state
-
-    def scan_network(
-        self,
-        cs: np.ndarray,
-        events: np.ndarray,
-        coins: np.ndarray,
-        resp: np.ndarray,
-        table: np.ndarray,
-        tail: float,
-        slot_mode: bool,
-        full_info: bool,
-        capacity: float,
-        delta1: float,
-        delta2: float,
-        initial: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Run the N-sensor scan.
-
-        ``cs`` is the ``(n_sensors, horizon)`` per-sensor cumulative
-        recharge; ``resp`` the responsible sensor per slot (-1 = none).
-        Returns ``(counts, state, aoi)``: ``counts[s] = (activations,
-        captures, blocked, last_capture_slot)``, ``state[s] = (neg,
-        shave)`` and ``aoi = (area, area_sq, max_age,
-        last_capture_slot)`` for the system-level age process.
-        """
-        n_sensors, horizon = cs.shape
-        cs_c = _c(cs, np.float64)
-        ev_c = _c(events, np.uint8)
-        coin_c = _c(coins, np.float64)
-        resp_c = _c(resp, np.int64)
-        table_c = _c(table, np.float64)
-        table_size = table_c.shape[0]
-        if table_size == 0:  # keep the pointer valid; never dereferenced
-            table_c = np.zeros(1, dtype=np.float64)
-        counts = np.zeros((n_sensors, 4), dtype=np.int64)
-        state = np.zeros((n_sensors, 2), dtype=np.float64)
-        aoi = np.zeros(4, dtype=np.int64)
-        self._net_fn(
-            ctypes.c_int64(horizon),
-            ctypes.c_int64(n_sensors),
-            cs_c.ctypes.data_as(_F64P),
-            ev_c.ctypes.data_as(_U8P),
-            coin_c.ctypes.data_as(_F64P),
-            resp_c.ctypes.data_as(_I64P),
-            table_c.ctypes.data_as(_F64P),
-            ctypes.c_int64(table_size),
-            ctypes.c_double(tail),
-            ctypes.c_int32(1 if slot_mode else 0),
-            ctypes.c_int32(1 if full_info else 0),
-            ctypes.c_double(capacity),
-            ctypes.c_double(delta1),
-            ctypes.c_double(delta2),
-            ctypes.c_double(initial),
-            counts.ctypes.data_as(_I64P),
-            state.ctypes.data_as(_F64P),
-            aoi.ctypes.data_as(_I64P),
-        )
-        return counts, state, aoi
 
     def scan_network_batch(
         self,
@@ -730,107 +402,77 @@ class NativeScan:
         events: np.ndarray,
         coins: np.ndarray,
         resp: np.ndarray,
-        lengths: np.ndarray,
-        n_sensors: np.ndarray,
-        sensor_offsets: np.ndarray,
         tables: np.ndarray,
-        table_offsets: np.ndarray,
-        table_sizes: np.ndarray,
-        tails: np.ndarray,
-        slot_modes: np.ndarray,
-        full_infos: np.ndarray,
-        capacities: np.ndarray,
-        delta1s: np.ndarray,
-        delta2s: np.ndarray,
-        initials: np.ndarray,
-        parallel: bool = True,
+        iparams: np.ndarray,
+        fparams: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Run ``n_runs`` independent network scans in one call.
 
-        ``cs`` is ``(total_sensor_rows, stride)``; run ``r`` owns rows
-        ``sensor_offsets[r] : sensor_offsets[r] + n_sensors[r]`` and
-        row ``r`` of the ``(n_runs, stride)`` ``events``/``coins``/
-        ``resp`` arrays.  Returns ``(counts, state, aoi)``: per-sensor
-        rows ``counts`` shaped ``(total_sensor_rows, 4)`` (activations,
-        captures, blocked, last_capture_slot) and ``state`` shaped
+        ``cs`` is ``(total_sensor_rows, stride)``; run ``r`` owns the
+        ``n_sensors`` rows from ``sensor_offset`` on and row ``r`` of
+        the ``(n_runs, stride)`` ``events``/``coins``/``resp`` arrays.
+        ``iparams`` rows are ``(length, n_sensors, sensor_offset,
+        table_offset, table_size, slot_mode, full_info)`` and
+        ``fparams`` rows ``(tail, capacity, delta1, delta2, initial)``.
+        Returns ``(counts, state, aoi)``: per-sensor rows ``counts``
+        shaped ``(total_sensor_rows, 4)`` (activations, captures,
+        blocked, last_capture_slot) and ``state`` shaped
         ``(total_sensor_rows, 2)``, plus the per-run system-level
         ``aoi`` shaped ``(n_runs, 4)``.
         """
         n_runs, stride = events.shape
         total_rows = cs.shape[0]
-        cs_c = _c(cs, np.float64)
-        ev_c = _c(events, np.uint8)
-        coin_c = _c(coins, np.float64)
-        resp_c = _c(resp, np.int64)
-        tables_c = _c(tables, np.float64)
-        if tables_c.size == 0:  # keep the pointer valid; never dereferenced
-            tables_c = np.zeros(1, dtype=np.float64)
-        counts = np.zeros((total_rows, 4), dtype=np.int64)
-        state = np.zeros((total_rows, 2), dtype=np.float64)
-        aoi = np.zeros((n_runs, 4), dtype=np.int64)
+        if tables.size == 0:  # keep the pointer valid; never dereferenced
+            tables = np.zeros(1, dtype=np.float64)
+        counts = np.empty((total_rows, 4), dtype=np.int64)
+        state = np.empty((total_rows, 2), dtype=np.float64)
+        aoi = np.empty((n_runs, 4), dtype=np.int64)
         self._net_batch_fn(
-            ctypes.c_int64(n_runs),
-            ctypes.c_int64(stride),
-            _c(lengths, np.int64).ctypes.data_as(_I64P),
-            _c(n_sensors, np.int64).ctypes.data_as(_I64P),
-            _c(sensor_offsets, np.int64).ctypes.data_as(_I64P),
-            cs_c.ctypes.data_as(_F64P),
-            ev_c.ctypes.data_as(_U8P),
-            coin_c.ctypes.data_as(_F64P),
-            resp_c.ctypes.data_as(_I64P),
-            tables_c.ctypes.data_as(_F64P),
-            _c(table_offsets, np.int64).ctypes.data_as(_I64P),
-            _c(table_sizes, np.int64).ctypes.data_as(_I64P),
-            _c(tails, np.float64).ctypes.data_as(_F64P),
-            _c(slot_modes, np.int32).ctypes.data_as(_I32P),
-            _c(full_infos, np.int32).ctypes.data_as(_I32P),
-            _c(capacities, np.float64).ctypes.data_as(_F64P),
-            _c(delta1s, np.float64).ctypes.data_as(_F64P),
-            _c(delta2s, np.float64).ctypes.data_as(_F64P),
-            _c(initials, np.float64).ctypes.data_as(_F64P),
-            ctypes.c_int32(1 if parallel else 0),
-            counts.ctypes.data_as(_I64P),
-            state.ctypes.data_as(_F64P),
-            aoi.ctypes.data_as(_I64P),
+            n_runs,
+            stride,
+            _address(cs, np.float64),
+            _address(events, np.uint8),
+            _address(coins, np.float64),
+            _address(resp, np.int64),
+            _address(tables, np.float64),
+            _address(iparams, np.int64),
+            _address(fparams, np.float64),
+            _address(counts, np.int64),
+            _address(state, np.float64),
+            _address(aoi, np.int64),
         )
         return counts, state, aoi
 
 
 def _compile() -> Optional[ctypes.CDLL]:
-    """Compile the scan into a cached shared object; None on any failure.
-
-    Tries ``-fopenmp`` first (threads the batch entries over runs) and
-    falls back to a serial build when the toolchain lacks it.
-    """
+    """Compile the scan into a cached shared object; None on any failure."""
     gcc = shutil.which("gcc") or shutil.which("cc")
     if gcc is None:
         return None
-    for flags in ((*_CFLAGS, _OMP_FLAG), _CFLAGS):
-        digest = hashlib.sha256(
-            _SOURCE.encode() + " ".join(flags).encode()
-        ).hexdigest()[:16]
-        uid = os.getuid() if hasattr(os, "getuid") else 0
-        cache = pathlib.Path(tempfile.gettempdir()) / f"repro-native-{uid}"
-        so_path = cache / f"repro_scan-{digest}.so"
-        try:
-            if not so_path.exists():
-                cache.mkdir(parents=True, exist_ok=True)
-                src_path = cache / f"repro_scan-{digest}.c"
-                src_path.write_text(_SOURCE)
-                with tempfile.NamedTemporaryFile(
-                    dir=str(cache), suffix=".so", delete=False
-                ) as tmp:
-                    tmp_name = tmp.name
-                subprocess.run(
-                    [gcc, *flags, "-o", tmp_name, str(src_path)],
-                    check=True,
-                    capture_output=True,
-                )
-                os.replace(tmp_name, so_path)  # atomic vs concurrent compiles
-            return ctypes.CDLL(str(so_path))
-        except (OSError, subprocess.SubprocessError):
-            continue
-    return None
+    digest = hashlib.sha256(
+        _SOURCE.encode() + " ".join(_CFLAGS).encode()
+    ).hexdigest()[:16]
+    uid = os.getuid() if hasattr(os, "getuid") else 0
+    cache = pathlib.Path(tempfile.gettempdir()) / f"repro-native-{uid}"
+    so_path = cache / f"repro_scan-{digest}.so"
+    try:
+        if not so_path.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            src_path = cache / f"repro_scan-{digest}.c"
+            src_path.write_text(_SOURCE)
+            with tempfile.NamedTemporaryFile(
+                dir=str(cache), suffix=".so", delete=False
+            ) as tmp:
+                tmp_name = tmp.name
+            subprocess.run(
+                [gcc, *_CFLAGS, "-o", tmp_name, str(src_path)],
+                check=True,
+                capture_output=True,
+            )
+            os.replace(tmp_name, so_path)  # atomic vs concurrent compiles
+        return ctypes.CDLL(str(so_path))
+    except (OSError, subprocess.SubprocessError):
+        return None
 
 
 def get_native_scan() -> Optional[NativeScan]:
@@ -847,11 +489,7 @@ def get_native_scan() -> Optional[NativeScan]:
         _lib_tried = True
         lib = _compile()
         _lib_cache = NativeScan(lib) if lib is not None else None
-        telemetry.event(
-            "native_compile",
-            available=_lib_cache is not None,
-            openmp=getattr(_lib_cache, "openmp", False),
-        )
+        telemetry.event("native_compile", available=_lib_cache is not None)
     telemetry.count(
         "native.available" if _lib_cache is not None else "native.unavailable"
     )

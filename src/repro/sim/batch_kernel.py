@@ -1,34 +1,30 @@
-"""Batched mega-simulation kernel: many (policy, seed) runs per scan call.
+"""The vectorized simulation path: many (policy, seed) runs per scan call.
 
-The figure sweeps and any serious policy comparison run M replicates x
-P configurations; executed one :func:`repro.sim.simulate_single` call
-at a time, per-call dispatch (sub-stream derivation, eligibility
-resolution, ctypes marshalling, result assembly) dominates once the
-per-run scan itself is fast.  This module packs many runs into
-contiguous ``(runs, slots)`` arrays and executes the whole batch in one
-scan call:
+Every vectorized simulation runs here.  The figure sweeps and any
+serious policy comparison run M replicates x P configurations in one
+call; :func:`repro.sim.simulate_single` and
+:func:`repro.sim.simulate_network` run a single call as a batch of one.
+This module packs the runs into contiguous ``(runs, slots)`` arrays and
+executes the whole batch in one scan call:
 
 * **packing** — ragged horizons pad to the longest run; a per-run
-  length vector bounds every scan, so padding is arithmetic-inert (it
-  is never read by the native scan, and the numpy reductions below are
-  constructed so padded columns cannot change any per-run value).
-* **native batch scan** — one ``repro_batch_scan`` call dispatches
-  every packed run to the same ``static`` C routine the single-run
-  symbol uses (OpenMP ``parallel for`` over runs when compiled in;
-  threading reorders scheduling only, never arithmetic).
+  length bounds every scan, so padding is arithmetic-inert (it is never
+  read by the native scan, and the numpy reductions below are
+  constructed so padded columns cannot change any per-run value).  A
+  batch of one needs no padding and packs as views, copying nothing.
+* **native batch scan** — one ``repro_batch_scan`` call runs every
+  packed run through the same ``static`` C routine, serially.
 * **numpy batch scan** — phase-A speculation runs across the whole
-  batch with axis-1 reductions, written against the array-API
-  namespace (:mod:`repro.sim._xp`) so a GPU array library can drop in
-  behind ``backend="auto"`` later; rows that fail speculation peel off
-  to the proven per-run sparse scans.
+  batch with axis-1 reductions; rows that fail speculation peel off to
+  the proven per-run sparse scans of :mod:`repro.sim.kernel`.
 
 Results split back into per-run :class:`SimulationResult` objects
-**bit-identical** to ``simulate_single`` — per run, the same FP ops in
+**bit-identical** to the reference loop — per run, the same FP ops in
 the same order.  The padded reductions preserve this exactly:
 
-* recharge rows pad with ``0.0`` and the axis-1 ``cumulative_sum`` adds
-  them sequentially, and IEEE ``x + 0.0 == x`` (bitwise; ``-0.0`` needs
-  a negative recharge, which eligibility excludes), so each padded
+* recharge rows pad with ``0.0`` and the axis-1 ``cumsum`` adds them
+  sequentially, and IEEE ``x + 0.0 == x`` (bitwise; ``-0.0`` needs a
+  negative recharge, which eligibility excludes), so each padded
   cumulative-recharge row replicates its last valid value;
 * activation costs pad with ``0.0`` inside a running difference, and
   ``x - y == x + (-y)`` exactly, so per-run partial sums match the
@@ -37,18 +33,29 @@ the same order.  The padded reductions preserve this exactly:
   exceeds the last valid one, so the final column reads back each
   run's true shave.
 
-Dispatch mirrors ``simulate_single`` exactly: the shared gates
+Dispatch goes through the shared gates
 (:func:`repro.sim.kernel.policy_fast_paths`,
 :func:`repro.sim.kernel.ineligibility_reason`,
-:func:`repro.sim.network_kernel.plan_or_reason`) decide eligibility,
-ineligible runs peel off to the reference loop with the already-drawn
-arrays, and mixed batches return results in input order.
+:func:`repro.sim.network_kernel.plan_or_reason`): ineligible runs peel
+off to the reference loop with the already-drawn arrays, and mixed
+batches return results in input order.
 """
 
 from __future__ import annotations
 
+import contextlib
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -57,17 +64,19 @@ from repro.core.policy import ActivationPolicy
 from repro.devtools import telemetry
 from repro.energy.recharge import RechargeProcess
 from repro.events.base import InterArrivalDistribution
-from repro.events.renewal import generate_event_flags_bulk
+from repro.events.renewal import (
+    generate_event_flags,
+    generate_event_flags_bulk,
+)
 from repro.exceptions import SimulationError
 from repro.sim import engine, kernel, network_kernel
 from repro.sim._native import get_native_scan
-from repro.sim._xp import array_namespace, cumulative_max
 from repro.sim.metrics import (
     AoIStats,
     SimulationResult,
     aoi_from_capture_slots,
 )
-from repro.sim.rng import SeedLike, bulk_substreams
+from repro.sim.rng import SeedLike, bulk_substreams, spawn_substreams
 
 __all__ = [
     "NetworkRunSpec",
@@ -75,6 +84,40 @@ __all__ = [
     "simulate_batch",
     "simulate_network_runs",
 ]
+
+#: Below this many seeds, per-seed sub-stream derivation beats the
+#: vectorized hash of :func:`repro.sim.rng.bulk_substreams`, whose fixed
+#: cost is about 0.1 ms per call.  Measured for three sub-streams per
+#: seed on a 2-core x86-64 host: 0.020 vs 0.096 ms for one seed, 0.100
+#: vs 0.109 ms for five, 0.119 vs 0.111 ms for six.  Both derivations
+#: give identical streams.
+_BULK_SEEDS_MIN = 6
+
+#: The public call the current batch serves.  The single-run entry
+#: points set it (:func:`recorded_as`) around their batch of one, so
+#: the run manifest names the call the user made.
+_ENTRY: ContextVar[str] = ContextVar("repro_sim_entry", default="")
+
+#: Per-run dispatch counter of each single-run entry point.
+_DISPATCH_COUNTERS = {
+    "simulate_single": "sim.dispatch",
+    "simulate_network": "network.dispatch",
+}
+
+
+@contextlib.contextmanager
+def recorded_as(entry: str) -> Iterator[None]:
+    """Record the runs of batches in the block as calls of ``entry``.
+
+    Each run then counts ``<entry's counter>.{backend}`` and its
+    ``simulation_run`` and ``backend_fallback`` manifest events carry
+    ``entry`` instead of the batch function's name.
+    """
+    token = _ENTRY.set(entry)
+    try:
+        yield
+    finally:
+        _ENTRY.reset(token)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,89 +170,78 @@ class _Drawn:
     initial: float
 
 
-def _validate_common(
-    i: int, capacity: float, delta1: float, delta2: float, horizon: int
-) -> None:
-    if horizon < 0:
-        raise SimulationError(f"spec {i}: horizon must be >= 0, got {horizon}")
-    if capacity < 0:
+def _check_backend(backend: str) -> None:
+    if backend not in engine.BACKENDS:
         raise SimulationError(
-            f"spec {i}: capacity must be >= 0, got {capacity}"
-        )
-    if delta1 < 0 or delta2 < 0:
-        raise SimulationError(
-            f"spec {i}: delta1/delta2 must be >= 0, got {delta1}, {delta2}"
+            f"backend must be one of {engine.BACKENDS}, got {backend!r}"
         )
 
 
-def _resolve_initial(
-    i: int, capacity: float, initial_energy: Optional[float]
-) -> float:
-    initial = (
-        capacity / 2.0 if initial_energy is None else float(initial_energy)
-    )
-    if not 0 <= initial <= capacity:
-        raise SimulationError(
-            f"spec {i}: initial energy {initial} outside [0, {capacity}]"
-        )
-    return initial
+def _validated_initials(specs: Sequence[Any]) -> List[float]:
+    """Check every spec's parameters; return each run's initial energy.
 
-
-def _draw_single(
-    i: int,
-    spec: RunSpec,
-    fast_cache: Dict[Tuple[int, int], kernel.PolicyFastPaths],
-    coin_rng: np.random.Generator,
-    events: np.ndarray,
-    recharge_amounts: np.ndarray,
-    initial: float,
-) -> _Drawn:
-    """Resolve one run's dispatch decision from its pre-drawn arrays.
-
-    Events and recharge rows arrive from the grouped bulk draws in
-    :func:`simulate_batch`; ``coin_rng`` is the run's third sub-stream,
-    all bit-identical to the engine's ``make_rng`` + ``spawn`` — the
-    whole point of batching would be lost if seeds replayed differently.
+    Messages name the offending spec's index unless the batch has only
+    one, i.e. it is a single-run call.
     """
-    coins = coin_rng.random(spec.horizon)
-    key = (id(spec.policy), spec.horizon)
-    fast = fast_cache.get(key)
-    if fast is None:
-        fast = kernel.policy_fast_paths(spec.policy, spec.horizon)
-        fast_cache[key] = fast
-    reason = kernel.ineligibility_reason(
-        battery_aware=fast.battery_aware,
-        collect_battery_trace=spec.collect_battery_trace,
-        has_table=fast.table is not None,
-        has_slot_probs=fast.slot_probs is not None,
-        recharge_amounts=recharge_amounts,
-    )
-    return _Drawn(
-        events=events,
-        recharge=recharge_amounts,
-        coins=coins,
-        fast=fast,
-        reason=reason,
-        initial=initial,
-    )
+    initials = []
+    for i, s in enumerate(specs):
+        where = f"spec {i}: " if len(specs) > 1 else ""
+        if s.horizon < 0:
+            raise SimulationError(
+                f"{where}horizon must be >= 0, got {s.horizon}"
+            )
+        if s.capacity < 0:
+            raise SimulationError(
+                f"{where}capacity must be >= 0, got {s.capacity}"
+            )
+        if s.delta1 < 0 or s.delta2 < 0:
+            raise SimulationError(
+                f"{where}delta1/delta2 must be >= 0, got "
+                f"{s.delta1}, {s.delta2}"
+            )
+        initial = (
+            s.capacity / 2.0
+            if s.initial_energy is None
+            else float(s.initial_energy)
+        )
+        if not 0 <= initial <= s.capacity:
+            raise SimulationError(
+                f"{where}initial energy {initial} outside [0, {s.capacity}]"
+            )
+        initials.append(initial)
+    return initials
+
+
+def _substreams(
+    seeds: Sequence[SeedLike], count: int
+) -> List[List[np.random.Generator]]:
+    """``count`` sub-streams per seed, by the faster derivation."""
+    if len(seeds) < _BULK_SEEDS_MIN:
+        return [spawn_substreams(seed, count) for seed in seeds]
+    return bulk_substreams(seeds, count)
 
 
 def _bulk_event_rows(
-    specs: Sequence[object],
+    specs: Sequence[Any],
     event_rngs: Sequence[np.random.Generator],
 ) -> List[np.ndarray]:
     """Event-flag rows for every spec, grouped by (distribution, horizon).
 
     Batches typically replicate one event model across many seeds; each
-    group costs one :func:`generate_event_flags_bulk` call.  Rows are
-    bit-identical to per-run ``generate_event_flags`` with the same
-    streams.
+    group costs one :func:`generate_event_flags_bulk` call, and a group
+    of one takes the cheaper per-run :func:`generate_event_flags`.
+    Rows are bit-identical to per-run calls with the same streams.
     """
     rows: List[Optional[np.ndarray]] = [None] * len(specs)
     groups: Dict[Tuple[int, int], List[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault((id(spec.distribution), spec.horizon), []).append(i)
     for (_, horizon), idxs in groups.items():
+        if len(idxs) == 1:
+            rows[idxs[0]] = generate_event_flags(
+                specs[idxs[0]].distribution, horizon, event_rngs[idxs[0]]
+            )
+            continue
         mat = generate_event_flags_bulk(
             specs[idxs[0]].distribution,
             horizon,
@@ -221,7 +253,7 @@ def _bulk_event_rows(
 
 
 def _bulk_recharge_rows(
-    specs: Sequence[object],
+    specs: Sequence[Any],
     rngs_per_spec: Sequence[List[np.random.Generator]],
 ) -> List[np.ndarray]:
     """Recharge rows for every spec, grouped by (process, horizon).
@@ -252,37 +284,39 @@ def _bulk_recharge_rows(
 def _record_runs(
     entry: str,
     specs: Sequence[Any],
-    policy_names: Sequence[str],
+    tags: Sequence[Dict[str, Any]],
     vectorized: Sequence[bool],
+    fallback_reasons: Sequence[str],
 ) -> None:
-    """Emit one run-manifest event per spec.
+    """Emit one run-manifest event per spec, plus the fallback events.
 
     Mirrors ``engine._record_run`` so ``--telemetry`` manifests list
     every simulation a batched call performed, with seed provenance —
     a batch must not be less auditable than the per-run loop it
-    replaces.
+    replaces.  Inside :func:`recorded_as` the runs are recorded under
+    the single-run entry point instead, with its dispatch counter.
     """
     if not telemetry.enabled():
         return
-    for spec, name, is_vec in zip(specs, policy_names, vectorized):
+    entry = _ENTRY.get() or entry
+    counter = _DISPATCH_COUNTERS.get(entry)
+    for spec, run_tags, is_vec in zip(specs, tags, vectorized):
+        backend = "vectorized" if is_vec else "reference"
+        if counter is not None:
+            telemetry.count(f"{counter}.{backend}")
         telemetry.event(
             "simulation_run",
             entry=entry,
-            backend="vectorized" if is_vec else "reference",
-            policy=name,
+            backend=backend,
+            **run_tags,
             capacity=float(spec.capacity),
             delta1=float(spec.delta1),
             delta2=float(spec.delta2),
             horizon=int(spec.horizon),
             seed=telemetry.describe_seed(spec.seed),
         )
-
-
-def _count_fallbacks(entry: str, reasons: List[str]) -> None:
-    if not reasons or not telemetry.enabled():
-        return
     by_reason: Dict[str, int] = {}
-    for reason in reasons:
+    for reason in fallback_reasons:
         by_reason[reason] = by_reason.get(reason, 0) + 1
     for reason, n in sorted(by_reason.items()):
         telemetry.event(
@@ -290,47 +324,65 @@ def _count_fallbacks(entry: str, reasons: List[str]) -> None:
         )
 
 
+def _packed(blocks: Sequence[np.ndarray], stride: int, dtype: type
+            ) -> np.ndarray:
+    """Stack 1-D rows or 2-D row blocks into one zero-padded matrix.
+
+    The result is C-contiguous, ``stride`` columns wide.  A single
+    block that already fills the stride is returned as is (a view), so
+    packing a batch of one copies nothing.
+    """
+    blocks = [np.atleast_2d(b) for b in blocks]
+    if len(blocks) == 1 and blocks[0].shape[1] == stride:
+        return np.ascontiguousarray(blocks[0], dtype=dtype)
+    out = np.zeros((sum(b.shape[0] for b in blocks), stride), dtype=dtype)
+    row = 0
+    for b in blocks:
+        out[row:row + b.shape[0], :b.shape[1]] = b
+        row += b.shape[0]
+    return out
+
+
 def _pack_tables(
     probs_arrays: Sequence[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, List[int]]:
     """Concatenate per-run prob tables, deduplicating shared ones.
 
     Batches typically replicate a handful of policies across many
     seeds; keying on the array's ``id`` keeps the flat buffer at one
-    copy per distinct table instead of one per run.
+    copy per distinct table instead of one per run, and a single
+    distinct table is passed through uncopied.  Returns the buffer and
+    each run's offset into it.
     """
-    offsets = np.empty(len(probs_arrays), dtype=np.int64)
-    sizes = np.empty(len(probs_arrays), dtype=np.int64)
+    offsets: List[int] = []
     unique: List[np.ndarray] = []
     offset_by_id: Dict[int, int] = {}
     total = 0
-    for j, arr in enumerate(probs_arrays):
+    for arr in probs_arrays:
         off = offset_by_id.get(id(arr))
         if off is None:
             off = total
             offset_by_id[id(arr)] = off
             unique.append(arr)
             total += arr.size
-        offsets[j] = off
-        sizes[j] = arr.size
-    flat = (
-        np.concatenate(unique)
-        if unique
-        else np.empty(0, dtype=np.float64)
-    )
-    return flat, offsets, sizes
+        offsets.append(off)
+    if len(unique) == 1:
+        return np.ascontiguousarray(unique[0], dtype=np.float64), offsets
+    return np.concatenate(unique), offsets
 
 
 _EMPTY_TABLE = np.empty(0, dtype=np.float64)
 
 
-def _run_probs(fast: kernel.PolicyFastPaths) -> Tuple[np.ndarray, bool]:
+def _run_probs(
+    table: Optional[np.ndarray], slot_probs: Optional[np.ndarray]
+) -> Tuple[np.ndarray, int]:
     """The (table, slot_mode) pair a run's scan reads probabilities from."""
-    if fast.slot_probs is not None:
-        return np.asarray(fast.slot_probs, dtype=np.float64), True
-    if fast.table is not None:
-        return np.asarray(fast.table, dtype=np.float64), False
-    return _EMPTY_TABLE, False
+    if slot_probs is not None:
+        return np.asarray(slot_probs, dtype=np.float64), 1
+    if table is not None:
+        return np.asarray(table, dtype=np.float64), 0
+    return _EMPTY_TABLE, 0
 
 
 def simulate_batch(
@@ -346,48 +398,51 @@ def simulate_batch(
     are bit-identical to per-run ``simulate_single`` calls.
     """
     specs = list(specs)
-    if backend not in engine.BACKENDS:
-        raise SimulationError(
-            f"backend must be one of {engine.BACKENDS}, got {backend!r}"
-        )
+    _check_backend(backend)
     n_specs = len(specs)
-    results: List[Optional[SimulationResult]] = [None] * n_specs
     if n_specs == 0:
         return []
     telemetry.count("batch.runs", n_specs)
 
-    for i, s in enumerate(specs):
-        _validate_common(i, s.capacity, s.delta1, s.delta2, s.horizon)
-    initials = [
-        _resolve_initial(i, s.capacity, s.initial_energy)
-        for i, s in enumerate(specs)
-    ]
+    initials = _validated_initials(specs)
     fast_cache: Dict[Tuple[int, int], kernel.PolicyFastPaths] = {}
-    all_streams = bulk_substreams([s.seed for s in specs], 3)
-    event_rows = _bulk_event_rows(specs, [st[0] for st in all_streams])
-    recharge_rows = _bulk_recharge_rows(
-        specs, [[st[1]] for st in all_streams]
-    )
-    drawn = [
-        _draw_single(
-            i, s, fast_cache, all_streams[i][2],
-            event_rows[i], recharge_rows[i][0], initials[i],
+    streams = _substreams([s.seed for s in specs], 3)
+    event_rows = _bulk_event_rows(specs, [st[0] for st in streams])
+    recharge_rows = _bulk_recharge_rows(specs, [[st[1]] for st in streams])
+    drawn: List[_Drawn] = []
+    for i, spec in enumerate(specs):
+        coins = streams[i][2].random(spec.horizon)
+        key = (id(spec.policy), spec.horizon)
+        fast = fast_cache.get(key)
+        if fast is None:
+            fast = kernel.policy_fast_paths(spec.policy, spec.horizon)
+            fast_cache[key] = fast
+        reason = kernel.ineligibility_reason(
+            battery_aware=fast.battery_aware,
+            collect_battery_trace=spec.collect_battery_trace,
+            has_table=fast.table is not None,
+            has_slot_probs=fast.slot_probs is not None,
+            recharge_amounts=recharge_rows[i][0],
         )
-        for i, s in enumerate(specs)
-    ]
+        drawn.append(_Drawn(
+            events=event_rows[i], recharge=recharge_rows[i][0],
+            coins=coins, fast=fast, reason=reason, initial=initials[i],
+        ))
 
+    vectorized = [backend != "reference" and d.reason is None for d in drawn]
+    results: List[Optional[SimulationResult]] = [None] * n_specs
     eligible: List[int] = []
     fallback_reasons: List[str] = []
     for i, d in enumerate(drawn):
-        if backend != "reference" and d.reason is None:
-            if specs[i].horizon == 0:
-                # The kernel's horizon-0 early return, inlined.
+        spec = specs[i]
+        if vectorized[i]:
+            if spec.horizon == 0:
                 results[i] = kernel._result(
                     0, 0, 0, 0, d.initial, 0.0, 0.0,
-                    specs[i].delta1, specs[i].delta2, 0,
+                    spec.delta1, spec.delta2, 0,
                     aoi=(
                         aoi_from_capture_slots((), 0)
-                        if specs[i].collect_aoi
+                        if spec.collect_aoi
                         else None
                     ),
                 )
@@ -395,12 +450,12 @@ def simulate_batch(
                 eligible.append(i)
             continue
         if backend == "vectorized":
+            where = f" for spec {i}" if n_specs > 1 else ""
             raise SimulationError(
-                f"vectorized backend unavailable for spec {i}: {d.reason}"
+                f"vectorized backend unavailable{where}: {d.reason}"
             )
         if backend != "reference":
             fallback_reasons.append(d.reason or "")
-        spec = specs[i]
         results[i] = engine._simulate_reference(
             policy=spec.policy,
             events=d.events,
@@ -419,13 +474,13 @@ def simulate_batch(
             collect_battery_trace=spec.collect_battery_trace,
             collect_aoi=spec.collect_aoi,
         )
-    telemetry.count("batch.dispatch.reference", n_specs - len(eligible))
-    _count_fallbacks("simulate_batch", fallback_reasons)
+    telemetry.count("batch.dispatch.reference", vectorized.count(False))
     _record_runs(
         "simulate_batch",
         specs,
-        [type(s.policy).__name__ for s in specs],
-        [backend != "reference" and d.reason is None for d in drawn],
+        [{"policy": type(s.policy).__name__} for s in specs],
+        vectorized,
+        fallback_reasons,
     )
 
     if eligible:
@@ -442,85 +497,70 @@ def _scan_batch_packed(
 ) -> None:
     """Pack the eligible runs, scan them in one batch, split results."""
     n_runs = len(eligible)
-    lengths = np.array(
-        [specs[i].horizon for i in eligible], dtype=np.int64
-    )
-    stride = int(lengths.max())
-    telemetry.count(
-        "batch.padding_waste_slots",
-        int(n_runs * stride - int(lengths.sum())),
-    )
+    lengths = [specs[i].horizon for i in eligible]
+    stride = max(lengths)
+    telemetry.count("batch.padding_waste_slots", n_runs * stride - sum(lengths))
 
-    events2 = np.zeros((n_runs, stride), dtype=np.uint8)
-    recharge2 = np.zeros((n_runs, stride), dtype=np.float64)
-    coins2 = np.zeros((n_runs, stride), dtype=np.float64)
-    for j, i in enumerate(eligible):
-        horizon = specs[i].horizon
-        events2[j, :horizon] = drawn[i].events
-        recharge2[j, :horizon] = drawn[i].recharge
-        coins2[j, :horizon] = drawn[i].coins
+    events2 = _packed([drawn[i].events for i in eligible], stride, np.bool_)
+    coins2 = _packed([drawn[i].coins for i in eligible], stride, np.float64)
     # Row-wise sequential adds; zero padding replicates each row's last
     # valid cumulative value exactly (x + 0.0 == x).
-    cs2 = np.cumsum(recharge2, axis=1)
-
-    capacities = np.array([specs[i].capacity for i in eligible], dtype=float)
-    delta1s = np.array([specs[i].delta1 for i in eligible], dtype=float)
-    delta2s = np.array([specs[i].delta2 for i in eligible], dtype=float)
-    initials = np.array([drawn[i].initial for i in eligible], dtype=float)
-    run_probs = [_run_probs(drawn[i].fast) for i in eligible]
+    cs2 = np.cumsum(
+        _packed([drawn[i].recharge for i in eligible], stride, np.float64),
+        axis=1,
+    )
+    fparams = np.array(
+        [
+            (drawn[i].fast.tail, specs[i].capacity, specs[i].delta1,
+             specs[i].delta2, drawn[i].initial)
+            for i in eligible
+        ],
+        dtype=np.float64,
+    )
 
     native = get_native_scan()
     if native is not None:
         telemetry.count("batch.dispatch.native", n_runs)
-        tables, offsets, sizes = _pack_tables([p for p, _ in run_probs])
-        counts, state = native.scan_batch(
-            cs2,
-            events2,
-            coins2,
-            lengths,
-            tables,
-            offsets,
-            sizes,
-            np.array([drawn[i].fast.tail for i in eligible], dtype=float),
-            np.array([m for _, m in run_probs], dtype=np.int32),
-            np.array(
-                [drawn[i].fast.full_info for i in eligible], dtype=np.int32
-            ),
-            capacities,
-            delta1s,
-            delta2s,
-            initials,
-            parallel=True,
-        )
-        scanned = [
-            (
-                int(counts[j, 0]),
-                int(counts[j, 1]),
-                int(counts[j, 2]),
-                float(state[j, 0]),
-                float(state[j, 1]),
-            )
-            for j in range(n_runs)
+        run_probs = [
+            _run_probs(drawn[i].fast.table, drawn[i].fast.slot_probs)
+            for i in eligible
         ]
-        # The batch scan always computes the AoI accumulators (the
-        # per-run flag would force a second specialization for no
-        # measurable gain); collect_aoi only gates attachment below.
+        tables, offsets = _pack_tables([p for p, _ in run_probs])
+        iparams = np.array(
+            [
+                (h, off, probs.size, mode, drawn[i].fast.full_info)
+                for h, off, (probs, mode), i in zip(
+                    lengths, offsets, run_probs, eligible
+                )
+            ],
+            dtype=np.int64,
+        )
+        counts, state = native.scan_batch(
+            cs2, events2.view(np.uint8), coins2, tables, iparams, fparams
+        )
+        counts_l = counts.tolist()
+        scanned = [
+            (c[0], c[1], c[2], st[0], st[1])
+            for c, st in zip(counts_l, state.tolist())
+        ]
+        # The scan always computes the AoI accumulators; collect_aoi
+        # only gates attachment below.
         aois: List[Optional[AoIStats]] = [
             AoIStats(
-                area=int(counts[j, 3]),
-                area_sq=int(counts[j, 4]),
-                max_age=int(counts[j, 5]),
-                last_capture_slot=int(counts[j, 6]),
-                n_resets=int(counts[j, 1]),
-                horizon=int(lengths[j]),
+                area=c[3],
+                area_sq=c[4],
+                max_age=c[5],
+                last_capture_slot=c[6],
+                n_resets=c[1],
+                horizon=h,
             )
-            for j in range(n_runs)
+            for c, h in zip(counts_l, lengths)
         ]
     else:
         telemetry.count("batch.dispatch.numpy", n_runs)
         scanned, aois = _numpy_batch_scan(
-            specs, drawn, eligible, events2, cs2, coins2, lengths,
-            capacities, delta1s, delta2s, initials,
+            [drawn[i].fast for i in eligible], events2, cs2, coins2,
+            lengths, fparams,
         )
 
     # Zero padding keeps each row's event count equal to its own horizon's.
@@ -544,52 +584,47 @@ def _scan_batch_packed(
 
 
 def _numpy_batch_scan(
-    specs: Sequence[RunSpec],
-    drawn: Sequence[_Drawn],
-    eligible: Sequence[int],
+    fasts: Sequence[kernel.PolicyFastPaths],
     events2: np.ndarray,
     cs2: np.ndarray,
     coins2: np.ndarray,
-    lengths: np.ndarray,
-    capacities: np.ndarray,
-    delta1s: np.ndarray,
-    delta2s: np.ndarray,
-    initials: np.ndarray,
+    lengths: Sequence[int],
+    fparams: np.ndarray,
 ) -> Tuple[
     List[Tuple[int, int, int, float, float]],
     List[Optional[AoIStats]],
 ]:
     """Batched phase-A speculation; peel failures to the per-run scans.
 
-    Returns per packed run ``(activations, captures, blocked, neg,
-    shave)`` exactly as :func:`repro.sim.kernel._scan_upfront` /
-    ``_scan_partial`` would per run, plus the matching
-    :class:`AoIStats` list (closed forms over each run's capture
-    slots).
+    Row ``j`` of the packed arrays is a run with fast paths
+    ``fasts[j]``, horizon ``lengths[j]`` and ``fparams[j] = (tail,
+    capacity, delta1, delta2, initial)``.  Returns per run
+    ``(activations, captures, blocked, neg, shave)`` exactly as
+    :func:`repro.sim.kernel._scan_upfront` / ``_scan_partial`` would
+    per run, plus the matching :class:`AoIStats` list (closed forms
+    over each run's capture slots).
     """
-    n_runs = len(eligible)
-    stride = events2.shape[1]
-    events_bool = events2.view(np.bool_)
+    n_runs, stride = events2.shape
     scanned: List[Optional[Tuple[int, int, int, float, float]]] = (
         [None] * n_runs
     )
     aois: List[Optional[AoIStats]] = [None] * n_runs
+    capacities, delta1s, delta2s, initials = fparams[:, 1:].T
 
     # Desire is precomputable per slot except for non-constant
-    # partial-information recency tables — same rule as the per-run
-    # kernel, evaluated from the same gate outputs.
+    # partial-information recency tables — decided from the same gate
+    # outputs as the native path.
     desire2 = np.zeros((n_runs, stride), dtype=bool)
     upfront: List[int] = []
-    for j, i in enumerate(eligible):
-        fast = drawn[i].fast
-        horizon = specs[i].horizon
+    for j, fast in enumerate(fasts):
+        horizon = lengths[j]
         if fast.slot_probs is not None:
             probs: Optional[np.ndarray] = np.asarray(
                 fast.slot_probs, dtype=np.float64
             )
         elif fast.full_info:
             probs = kernel._full_info_probs(
-                events_bool[j, :horizon], fast.table, fast.tail, horizon
+                events2[j, :horizon], fast.table, fast.tail, horizon
             )
         elif (
             network_kernel._constant_table_prob(fast.table, fast.tail)
@@ -601,7 +636,7 @@ def _numpy_batch_scan(
         if probs is None:
             telemetry.count("batch.scan.numpy_partial")
             a, c, b, neg, shave, slots = kernel._scan_partial(
-                events_bool[j, :horizon],
+                events2[j, :horizon],
                 cs2[j, :horizon],
                 coins2[j, :horizon],
                 fast.table,
@@ -622,10 +657,8 @@ def _numpy_batch_scan(
     telemetry.count("batch.scan.numpy_upfront", len(upfront))
 
     rows = np.asarray(upfront, dtype=np.intp)
-    xp = array_namespace(cs2, coins2)
     desire_up = desire2[rows]
-    events_up = events_bool[rows]
-    cs_up = cs2[rows]
+    events_up = events2[rows]
     cost_col = (delta1s[rows] + delta2s[rows])[:, None]
     delta1_col = delta1s[rows][:, None]
     init_col = initials[rows][:, None]
@@ -636,33 +669,25 @@ def _numpy_batch_scan(
     # per-run partial sum bitwise equal to the gathered
     # subtract.accumulate of the per-run scan (x + (-0.0) == x, and
     # x - y == x + (-y)).
-    costs = xp.where(
-        desire_up, xp.where(events_up, cost_col, delta1_col), 0.0
+    costs = np.where(
+        desire_up, np.where(events_up, cost_col, delta1_col), 0.0
     )
-    neg_full = xp.cumulative_sum(
-        xp.concat([init_col, -costs], axis=1), axis=1
-    )
-    pre = neg_full[:, :-1] + cs_up
-    over = pre - cap_col
-    shave_run = xp.maximum(cumulative_max(xp, over, axis=1), 0.0)
-    battery = pre - shave_run
-    failed = np.asarray(
-        xp.any(desire_up & (battery < cost_col), axis=1)
-    )
+    neg_full = np.cumsum(np.concatenate([init_col, -costs], axis=1), axis=1)
+    pre = neg_full[:, :-1] + cs2[rows]
+    shave_run = np.maximum(np.maximum.accumulate(pre - cap_col, axis=1), 0.0)
+    failed = np.any(desire_up & (pre - shave_run < cost_col), axis=1)
 
     activations = np.count_nonzero(desire_up, axis=1)
     captures = np.count_nonzero(desire_up & events_up, axis=1)
-    neg_last = np.asarray(neg_full[:, -1])
-    shave_last = np.asarray(shave_run[:, -1])
     for k, j in enumerate(upfront):
-        horizon = int(lengths[j])
+        horizon = lengths[j]
         if failed[k]:
             # Speculation failed for this run: its blocked slots need
             # the per-run sparse scan (phase B), unchanged.
             telemetry.count("batch.scan.numpy_sparse")
             a, c, b, neg, shave, slots = kernel._scan_upfront(
                 desire2[j, :horizon],
-                events_bool[j, :horizon],
+                events2[j, :horizon],
                 cs2[j, :horizon],
                 float(capacities[j]),
                 float(delta1s[j]),
@@ -676,8 +701,8 @@ def _numpy_batch_scan(
                 int(activations[k]),
                 int(captures[k]),
                 0,
-                float(neg_last[k]),
-                float(shave_last[k]),
+                float(neg_full[k, -1]),
+                float(shave_run[k, -1]),
             )
             # Speculation held, so every desired event slot captured.
             cap_idx = np.nonzero(desire_up[k] & events_up[k])[0]
@@ -685,51 +710,6 @@ def _numpy_batch_scan(
                 (cap_idx + 1).astype(np.int64), horizon
             )
     return scanned, aois  # type: ignore[return-value]
-
-
-@dataclass
-class _NetDrawn:
-    """One network run's drawn arrays plus its dispatch plan."""
-
-    events: np.ndarray
-    recharge_rows: np.ndarray
-    coins: np.ndarray
-    plan: Optional[network_kernel.NetworkPlan]
-    reason: Optional[str]
-    initial: float
-
-
-def _draw_network(
-    i: int,
-    spec: NetworkRunSpec,
-    backend: str,
-    coin_rng: np.random.Generator,
-    events: np.ndarray,
-    recharge_rows: np.ndarray,
-    initial: float,
-) -> _NetDrawn:
-    """Resolve one run's plan from its pre-drawn arrays.
-
-    Events and recharge rows arrive from the grouped bulk draws in
-    :func:`simulate_network_runs`, bit-identical to per-run draws with
-    the ``simulate_network`` RNG protocol.
-    """
-    coins = coin_rng.random(spec.horizon)
-    spec.coordinator.reset()
-    plan: Optional[network_kernel.NetworkPlan] = None
-    reason: Optional[str] = None
-    if backend != "reference":
-        plan, reason = network_kernel.plan_or_reason(
-            spec.coordinator, events, recharge_rows, spec.horizon
-        )
-    return _NetDrawn(
-        events=events,
-        recharge_rows=recharge_rows,
-        coins=coins,
-        plan=plan,
-        reason=reason,
-        initial=initial,
-    )
 
 
 def simulate_network_runs(
@@ -744,229 +724,198 @@ def simulate_network_runs(
     Runs may use different coordinators and sensor counts.
     """
     specs = list(specs)
-    if backend not in engine.BACKENDS:
-        raise SimulationError(
-            f"backend must be one of {engine.BACKENDS}, got {backend!r}"
-        )
+    _check_backend(backend)
     n_specs = len(specs)
-    results: List[Optional[SimulationResult]] = [None] * n_specs
     if n_specs == 0:
         return []
     telemetry.count("network_batch.runs", n_specs)
 
-    for i, s in enumerate(specs):
-        _validate_common(i, s.capacity, s.delta1, s.delta2, s.horizon)
-    initials = [
-        _resolve_initial(i, s.capacity, s.initial_energy)
-        for i, s in enumerate(specs)
-    ]
-    # Sub-stream counts vary with the fleet size; bulk-derive per count.
+    initials = _validated_initials(specs)
+    # Sub-stream counts vary with the fleet size; derive per count.
     counts = [2 + s.coordinator.n_sensors for s in specs]
-    net_streams: List[List[np.random.Generator]] = [[]] * n_specs
+    streams: List[List[np.random.Generator]] = [[]] * n_specs
     for want in sorted(set(counts)):
         idxs = [i for i, k in enumerate(counts) if k == want]
-        got = bulk_substreams([specs[i].seed for i in idxs], want)
-        for i, streams in zip(idxs, got):
-            net_streams[i] = streams
-    event_rows = _bulk_event_rows(specs, [st[0] for st in net_streams])
-    recharge_blocks = _bulk_recharge_rows(
-        specs, [st[2:] for st in net_streams]
-    )
-    drawn = [
-        _draw_network(
-            i, s, backend, net_streams[i][1],
-            event_rows[i], recharge_blocks[i], initials[i],
-        )
-        for i, s in enumerate(specs)
-    ]
+        got = _substreams([specs[i].seed for i in idxs], want)
+        for i, run_streams in zip(idxs, got):
+            streams[i] = run_streams
+    event_rows = _bulk_event_rows(specs, [st[0] for st in streams])
+    recharge_blocks = _bulk_recharge_rows(specs, [st[2:] for st in streams])
+    coins = [streams[i][1].random(s.horizon) for i, s in enumerate(specs)]
+    plans: List[Optional[network_kernel.NetworkPlan]] = []
+    reasons: List[Optional[str]] = []
+    for i, spec in enumerate(specs):
+        plan: Optional[network_kernel.NetworkPlan] = None
+        reason: Optional[str] = None
+        if backend != "reference":
+            plan, reason = network_kernel.plan_or_reason(
+                spec.coordinator, event_rows[i], recharge_blocks[i],
+                spec.horizon,
+            )
+        plans.append(plan)
+        reasons.append(reason)
 
-    eligible: List[int] = []
+    results: List[Optional[SimulationResult]] = [None] * n_specs
+    # Eligible runs with their plans; horizon-0 runs finish in the
+    # numpy kernel's early return.
+    planned: List[Tuple[int, network_kernel.NetworkPlan]] = []
     fallback_reasons: List[str] = []
-    for i, d in enumerate(drawn):
-        if d.plan is not None:
-            eligible.append(i)
+    for i, spec in enumerate(specs):
+        plan = plans[i]
+        if plan is not None:
+            planned.append((i, plan))
             continue
         if backend == "vectorized":
+            where = f" for spec {i}" if n_specs > 1 else ""
             raise SimulationError(
-                f"vectorized backend unavailable for spec {i}: {d.reason}"
+                f"vectorized backend unavailable{where}: {reasons[i]}"
             )
         if backend != "reference":
-            fallback_reasons.append(d.reason or "")
-        # Runtime import: repro.sim.network's batched fast path imports
-        # this module, so a module-top import would be circular.
+            fallback_reasons.append(reasons[i] or "")
+        # Runtime import: repro.sim.network imports this module for its
+        # vectorized backend, so a module-top import would be circular.
         from repro.sim.network import _simulate_network_reference
 
-        spec = specs[i]
+        # Reset right before the loop, so runs sharing a stateful
+        # coordinator each start from its initial state.
+        spec.coordinator.reset()
         results[i] = _simulate_network_reference(
             coordinator=spec.coordinator,
-            events=d.events,
-            recharge_rows=d.recharge_rows,
-            coins=d.coins,
+            events=event_rows[i],
+            recharge_rows=recharge_blocks[i],
+            coins=coins[i],
             capacity=float(spec.capacity),
             delta1=float(spec.delta1),
             delta2=float(spec.delta2),
             horizon=spec.horizon,
-            initial=d.initial,
+            initial=initials[i],
         )
     telemetry.count(
-        "network_batch.dispatch.reference", n_specs - len(eligible)
+        "network_batch.dispatch.reference", n_specs - len(planned)
     )
-    _count_fallbacks("simulate_network_runs", fallback_reasons)
     _record_runs(
         "simulate_network_runs",
         specs,
-        [type(s.coordinator).__name__ for s in specs],
-        [d.plan is not None for d in drawn],
+        [
+            {
+                "coordinator": type(s.coordinator).__name__,
+                "n_sensors": int(s.coordinator.n_sensors),
+            }
+            for s in specs
+        ],
+        [plan is not None for plan in plans],
+        fallback_reasons,
     )
 
-    if not eligible:
-        return results  # type: ignore[return-value]
-
     native = get_native_scan()
-    positive = [i for i in eligible if specs[i].horizon > 0]
-    if native is None or not positive:
-        # No compiled batch entry: the per-run network kernel is already
-        # the fastest remaining path and shares the batch's draws.
-        telemetry.count("network_batch.dispatch.numpy", len(eligible))
-        for i in eligible:
+    scanned = [
+        (i, plan) for i, plan in planned
+        if native is not None and specs[i].horizon > 0
+    ]
+    telemetry.count("network_batch.dispatch.native", len(scanned))
+    telemetry.count(
+        "network_batch.dispatch.numpy", len(planned) - len(scanned)
+    )
+    for i, plan in planned:
+        if native is None or specs[i].horizon == 0:
             spec = specs[i]
-            d = drawn[i]
-            if d.plan is None:  # pragma: no cover - eligible => planned
-                raise SimulationError(f"spec {i}: eligible run lost its plan")
             results[i] = network_kernel.simulate_network_kernel(
-                events=d.events,
-                recharge_rows=d.recharge_rows,
-                coins=d.coins,
-                plan=d.plan,
+                events=event_rows[i],
+                recharge_rows=recharge_blocks[i],
+                coins=coins[i],
+                plan=plan,
                 capacity=float(spec.capacity),
                 delta1=float(spec.delta1),
                 delta2=float(spec.delta2),
                 horizon=spec.horizon,
-                initial=d.initial,
+                initial=initials[i],
             )
-        return results  # type: ignore[return-value]
+    if scanned:
+        _scan_network_packed(
+            native, specs, scanned, event_rows, recharge_blocks, coins,
+            initials, results,
+        )
+    return results  # type: ignore[return-value]
 
-    telemetry.count("network_batch.dispatch.native", len(eligible))
-    for i in eligible:
-        if specs[i].horizon == 0:
-            d = drawn[i]
-            if d.plan is None:  # pragma: no cover - eligible => planned
-                raise SimulationError(f"spec {i}: eligible run lost its plan")
-            results[i] = network_kernel.simulate_network_kernel(
-                events=d.events,
-                recharge_rows=d.recharge_rows,
-                coins=d.coins,
-                plan=d.plan,
-                capacity=float(specs[i].capacity),
-                delta1=float(specs[i].delta1),
-                delta2=float(specs[i].delta2),
-                horizon=0,
-                initial=d.initial,
-            )
 
-    n_runs = len(positive)
-    lengths = np.array([specs[i].horizon for i in positive], dtype=np.int64)
-    stride = int(lengths.max())
-    sensor_counts = np.array(
-        [drawn[i].plan.n_sensors for i in positive],  # type: ignore[union-attr]
-        dtype=np.int64,
-    )
-    sensor_offsets = np.concatenate(
-        ([0], np.cumsum(sensor_counts)[:-1])
-    ).astype(np.int64)
-    total_rows = int(sensor_counts.sum())
+def _scan_network_packed(
+    native: Any,
+    specs: Sequence[NetworkRunSpec],
+    scanned: Sequence[Tuple[int, network_kernel.NetworkPlan]],
+    event_rows: Sequence[np.ndarray],
+    recharge_blocks: Sequence[np.ndarray],
+    coins: Sequence[np.ndarray],
+    initials: Sequence[float],
+    results: List[Optional[SimulationResult]],
+) -> None:
+    """Pack the planned runs, scan them in one native call, split results."""
+    lengths = [specs[i].horizon for i, _ in scanned]
+    n_sensors = [plan.n_sensors for _, plan in scanned]
+    stride = max(lengths)
+    offsets = np.cumsum([0] + n_sensors).tolist()
     telemetry.count(
         "network_batch.padding_waste_slots",
-        int(total_rows * stride) - int((sensor_counts * lengths).sum()),
+        offsets[-1] * stride - sum(n * h for n, h in zip(n_sensors, lengths)),
     )
 
-    events2 = np.zeros((n_runs, stride), dtype=np.uint8)
-    coins2 = np.zeros((n_runs, stride), dtype=np.float64)
-    resp2 = np.zeros((n_runs, stride), dtype=np.int64)
-    recharge_all = np.zeros((total_rows, stride), dtype=np.float64)
-    probs_arrays: List[np.ndarray] = []
-    slot_modes = np.empty(n_runs, dtype=np.int32)
-    for j, i in enumerate(positive):
-        d = drawn[i]
-        plan = d.plan
-        if plan is None:  # pragma: no cover - eligible => planned
-            raise SimulationError(f"spec {i}: eligible run lost its plan")
-        horizon = specs[i].horizon
-        events2[j, :horizon] = d.events
-        coins2[j, :horizon] = d.coins
-        resp2[j, :horizon] = plan.resp
-        row0 = int(sensor_offsets[j])
-        recharge_all[row0:row0 + plan.n_sensors, :horizon] = d.recharge_rows
-        if plan.slot_probs is not None:
-            probs_arrays.append(
-                np.asarray(plan.slot_probs, dtype=np.float64)
+    events2 = _packed([event_rows[i] for i, _ in scanned], stride, np.bool_)
+    coins2 = _packed([coins[i] for i, _ in scanned], stride, np.float64)
+    resp2 = _packed([plan.resp for _, plan in scanned], stride, np.int64)
+    cs_all = np.cumsum(
+        _packed([recharge_blocks[i] for i, _ in scanned], stride, np.float64),
+        axis=1,
+    )
+    run_probs = [_run_probs(plan.table, plan.slot_probs) for _, plan in scanned]
+    tables, table_offsets = _pack_tables([p for p, _ in run_probs])
+    iparams = np.array(
+        [
+            (lengths[j], n_sensors[j], offsets[j], table_offsets[j],
+             probs.size, mode, plan.full_info)
+            for j, ((_, plan), (probs, mode)) in enumerate(
+                zip(scanned, run_probs)
             )
-            slot_modes[j] = 1
-        else:
-            probs_arrays.append(
-                np.asarray(plan.table, dtype=np.float64)
-                if plan.table is not None
-                else _EMPTY_TABLE
-            )
-            slot_modes[j] = 0
-    cs_all = np.cumsum(recharge_all, axis=1)
-
-    tables, offsets, sizes = _pack_tables(probs_arrays)
+        ],
+        dtype=np.int64,
+    )
+    fparams = np.array(
+        [
+            (plan.tail, specs[i].capacity, specs[i].delta1, specs[i].delta2,
+             initials[i])
+            for i, plan in scanned
+        ],
+        dtype=np.float64,
+    )
     counts, state, aoi_rows = native.scan_network_batch(
-        cs_all,
-        events2,
-        coins2,
-        resp2,
-        lengths,
-        sensor_counts,
-        sensor_offsets,
-        tables,
-        offsets,
-        sizes,
-        np.array(
-            [drawn[i].plan.tail for i in positive],  # type: ignore[union-attr]
-            dtype=np.float64,
-        ),
-        slot_modes,
-        np.array(
-            [drawn[i].plan.full_info for i in positive],  # type: ignore[union-attr]
-            dtype=np.int32,
-        ),
-        np.array([specs[i].capacity for i in positive], dtype=np.float64),
-        np.array([specs[i].delta1 for i in positive], dtype=np.float64),
-        np.array([specs[i].delta2 for i in positive], dtype=np.float64),
-        np.array([drawn[i].initial for i in positive], dtype=np.float64),
-        parallel=True,
+        cs_all, events2.view(np.uint8), coins2, resp2, tables, iparams,
+        fparams,
     )
 
-    for j, i in enumerate(positive):
-        horizon = specs[i].horizon
-        n_sensors = int(sensor_counts[j])
-        row0 = int(sensor_offsets[j])
-        harvested = [
-            float(cs_all[row0 + s, horizon - 1]) for s in range(n_sensors)
-        ]
-        captures_by = [int(counts[row0 + s, 1]) for s in range(n_sensors)]
-        aoi = AoIStats(
-            area=int(aoi_rows[j, 0]),
-            area_sq=int(aoi_rows[j, 1]),
-            max_age=int(aoi_rows[j, 2]),
-            last_capture_slot=int(aoi_rows[j, 3]),
-            n_resets=sum(captures_by),
-            horizon=horizon,
-        )
+    n_events_all = np.count_nonzero(events2, axis=1)
+    counts_l = counts.tolist()
+    state_l = state.tolist()
+    for j, (i, _) in enumerate(scanned):
+        horizon = lengths[j]
+        rows = range(offsets[j], offsets[j + 1])
+        captures_by = [counts_l[r][1] for r in rows]
+        area, area_sq, max_age, last_capture = aoi_rows[j].tolist()
         results[i] = network_kernel._network_result(
-            [int(counts[row0 + s, 0]) for s in range(n_sensors)],
+            [counts_l[r][0] for r in rows],
             captures_by,
-            [int(counts[row0 + s, 2]) for s in range(n_sensors)],
-            [float(state[row0 + s, 0]) for s in range(n_sensors)],
-            [float(state[row0 + s, 1]) for s in range(n_sensors)],
-            harvested,
-            int(np.count_nonzero(events2[j])),
+            [counts_l[r][2] for r in rows],
+            [state_l[r][0] for r in rows],
+            [state_l[r][1] for r in rows],
+            [float(cs_all[r, horizon - 1]) for r in rows],
+            int(n_events_all[j]),
             float(specs[i].delta1),
             float(specs[i].delta2),
             horizon,
-            [int(counts[row0 + s, 3]) for s in range(n_sensors)],
-            aoi,
+            [counts_l[r][3] for r in rows],
+            AoIStats(
+                area=area,
+                area_sq=area_sq,
+                max_age=max_age,
+                last_capture_slot=last_capture,
+                n_resets=sum(captures_by),
+                horizon=horizon,
+            ),
         )
-    return results  # type: ignore[return-value]

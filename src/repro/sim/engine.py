@@ -17,8 +17,9 @@ Backends
 --------
 ``simulate_single`` accepts ``backend="auto" | "reference" | "vectorized"``.
 The reference backend is the readable per-slot Python loop below; the
-vectorized backend (:mod:`repro.sim.kernel`) replays the identical
-arithmetic with array primitives (and an optional compiled scan) and is
+vectorized backend runs the call as a batch of one through
+:mod:`repro.sim.batch_kernel`, which replays the identical arithmetic in
+a compiled scan (or numpy when no C compiler is available) and is
 bit-identical to it.  Both consume the same three RNG sub-streams in the
 same order, so a seed pins one trajectory regardless of backend.
 
@@ -38,7 +39,7 @@ reproduce operation-for-operation in floating point.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -49,7 +50,6 @@ from repro.events.base import InterArrivalDistribution
 from repro.events.renewal import generate_event_flags
 from repro.exceptions import SimulationError
 from repro.sim import kernel
-from repro.sim.kernel import _TABLE_SLOTS  # noqa: F401  (compat re-export)
 from repro.sim.metrics import AoIStats, SensorStats, SimulationResult
 from repro.sim.rng import SeedLike, make_rng, spawn
 
@@ -58,7 +58,6 @@ BACKENDS = ("auto", "reference", "vectorized")
 
 
 def _record_run(
-    backend: str,
     policy: ActivationPolicy,
     capacity: float,
     delta1: float,
@@ -66,14 +65,18 @@ def _record_run(
     horizon: int,
     seed: SeedLike,
 ) -> None:
-    """Emit the run-manifest event for one simulate_single call."""
+    """Emit the run-manifest event for one reference simulate_single call.
+
+    Batched calls record theirs in
+    :func:`repro.sim.batch_kernel._record_runs`, under the same entry.
+    """
     if not telemetry.enabled():
         return
-    telemetry.count(f"sim.dispatch.{backend}")
+    telemetry.count("sim.dispatch.reference")
     telemetry.event(
         "simulation_run",
         entry="simulate_single",
-        backend=backend,
+        backend="reference",
         policy=type(policy).__name__,
         capacity=float(capacity),
         delta1=float(delta1),
@@ -107,17 +110,41 @@ def simulate_single(
     per-slot Python loop, ``"vectorized"`` forces the fast kernel (and
     raises :class:`SimulationError` when the configuration is not
     eligible), ``"auto"`` uses the kernel whenever it is eligible.  All
-    backends are bit-identical.
+    backends are bit-identical.  ``"auto"`` and ``"vectorized"`` run
+    the call as a batch of one
+    (:func:`repro.sim.batch_kernel.simulate_batch`), which draws the same
+    three sub-streams; ``"reference"`` draws and loops here, so the
+    reference stays independent of the batch packer it checks.
 
-    ``collect_aoi=False`` skips the Age-of-Information accumulators and
-    leaves ``result.aoi`` as ``None`` (the benchmark's overhead gate
-    times both settings against each other); it never changes any other
-    field of the result.
+    ``collect_aoi=False`` leaves ``result.aoi`` as ``None`` (the
+    benchmark times both settings against each other); it never changes
+    any other field of the result.
     """
     if backend not in BACKENDS:
         raise SimulationError(
             f"backend must be one of {BACKENDS}, got {backend!r}"
         )
+    if backend != "reference":
+        # Runtime import: batch_kernel reaches back into this module for
+        # its reference fallback.
+        from repro.sim import batch_kernel
+
+        spec = batch_kernel.RunSpec(
+            distribution=distribution,
+            policy=policy,
+            recharge=recharge,
+            capacity=capacity,
+            delta1=delta1,
+            delta2=delta2,
+            horizon=horizon,
+            seed=seed,
+            initial_energy=initial_energy,
+            collect_battery_trace=collect_battery_trace,
+            collect_aoi=collect_aoi,
+        )
+        with batch_kernel.recorded_as("simulate_single"):
+            return batch_kernel.simulate_batch([spec], backend)[0]
+
     if horizon < 0:
         raise SimulationError(f"horizon must be >= 0, got {horizon}")
     if capacity < 0:
@@ -135,69 +162,26 @@ def simulate_single(
 
     # Policy fast paths: a recency table, a slot table, or a per-slot
     # call (battery-aware policies always take the per-slot call so they
-    # can see the current level).  Resolved by the shared RL015 gate so
-    # the batch packer dispatches on exactly the same rule.
+    # can see the current level).  Resolved by the shared RL015 gate, the
+    # rule the batch packer dispatches on too.
     fast = kernel.policy_fast_paths(policy, horizon)
-    table = fast.table
-    tail = fast.tail
-    slot_probs = fast.slot_probs
-    battery_aware = fast.battery_aware
-
-    full_info = fast.full_info
     initial = capacity / 2.0 if initial_energy is None else float(initial_energy)
     if not 0 <= initial <= capacity:
         raise SimulationError(
             f"initial energy {initial} outside [0, {capacity}]"
         )
 
-    if backend != "reference":
-        reason = kernel.ineligibility_reason(
-            battery_aware=battery_aware,
-            collect_battery_trace=collect_battery_trace,
-            has_table=table is not None,
-            has_slot_probs=slot_probs is not None,
-            recharge_amounts=recharge_amounts,
-        )
-        if reason is None:
-            _record_run(
-                "vectorized", policy, capacity, delta1, delta2, horizon, seed
-            )
-            with telemetry.timed("sim.simulate_single.vectorized"):
-                return kernel.simulate_kernel(
-                    events=events,
-                    recharge_amounts=recharge_amounts,
-                    coins=coins,
-                    table=table,
-                    tail=tail,
-                    slot_probs=slot_probs,
-                    full_info=full_info,
-                    capacity=float(capacity),
-                    delta1=float(delta1),
-                    delta2=float(delta2),
-                    horizon=horizon,
-                    initial=initial,
-                    collect_aoi=collect_aoi,
-                )
-        if backend == "vectorized":
-            raise SimulationError(
-                f"vectorized backend unavailable: {reason}"
-            )
-        telemetry.count("sim.fallback.reference")
-        telemetry.event(
-            "backend_fallback", entry="simulate_single", reason=reason
-        )
-
-    _record_run("reference", policy, capacity, delta1, delta2, horizon, seed)
+    _record_run(policy, capacity, delta1, delta2, horizon, seed)
     return _simulate_reference(
         policy=policy,
         events=events,
         recharge_amounts=recharge_amounts,
         coins=coins,
-        table=table,
-        tail=tail,
-        slot_probs=slot_probs,
-        battery_aware=battery_aware,
-        full_info=full_info,
+        table=fast.table,
+        tail=fast.tail,
+        slot_probs=fast.slot_probs,
+        battery_aware=fast.battery_aware,
+        full_info=fast.full_info,
         capacity=float(capacity),
         delta1=float(delta1),
         delta2=float(delta2),

@@ -1,4 +1,4 @@
-"""Vectorized fast-path kernel for :func:`repro.sim.simulate_single`.
+"""Shared gates and pure-numpy scans of the vectorized simulation path.
 
 The reference engine walks every slot in Python.  For the policies the
 paper actually simulates — recency tables (greedy, clustering,
@@ -13,28 +13,30 @@ collapses into array primitives:
   engine's reflected form (``battery = (neg + cum_recharge) - shave``)
   it advances by pure prefix sums between activation candidates.
 
-The kernel therefore runs in phases:
+This module holds the pieces :mod:`repro.sim.batch_kernel` — the one
+vectorized path, which runs a single ``simulate_single`` call as a
+batch of one — builds on:
 
-* **native scan** — when a C compiler is available
-  (:mod:`repro.sim._native`), the whole slot loop runs as compiled
-  IEEE-strict scalar code.  This is the fastest path and handles every
-  eligible configuration, including partial-information recency.
-* **phase A (speculation)** — pure numpy: assume no activation is ever
-  battery-blocked, compute every per-slot quantity with ``cumsum`` /
-  ``subtract.accumulate`` / ``maximum.accumulate``, and accept the
-  result if the assumption verifies (common for well-provisioned runs).
-* **phase B (sparse scan)** — pure numpy + Python: walk only the
-  candidate slots (``coin < p_max``); blocked stretches are skipped in
-  ``O(log n)`` via bisection on an exactly-conservative predicate.
+* the **RL015 gates** :func:`policy_fast_paths` and
+  :func:`ineligibility_reason`, the only place the scan layers read
+  policy attributes and decide eligibility;
+* the per-run **numpy scans** used when the compiled scan
+  (:mod:`repro.sim._native`) is unavailable or disabled.  The batch
+  packer first speculates across all rows at once that no desired slot
+  is battery-blocked (phase A); a row where that fails takes
+  :func:`_scan_upfront`, whose phase B walks only the desired slots and
+  skips blocked stretches in ``O(log n)`` by bisection.  Capture-coupled
+  partial-information tables take the candidate walk
+  :func:`_scan_partial`.
 
 Every path performs the same floating-point operations in the same
 order as the reference loop, so results are **bit-identical** — this is
 asserted by ``tests/sim/test_kernel.py`` and re-checked by the
 benchmark harness on every run.
 
-RNG stream-order contract: the kernel never draws random numbers; it
-receives the exact arrays (events, recharge, coins) that
-``simulate_single`` drew from its three sub-streams, in that order.
+RNG stream-order contract: nothing here draws random numbers; the scans
+receive the exact arrays (events, recharge, coins) the caller drew from
+a run's three sub-streams, in that order.
 """
 
 from __future__ import annotations
@@ -46,13 +48,7 @@ import numpy as np
 
 from repro.core.policy import ActivationPolicy, InfoModel
 from repro.devtools import telemetry
-from repro.sim._native import get_native_scan
-from repro.sim.metrics import (
-    AoIStats,
-    SensorStats,
-    SimulationResult,
-    aoi_from_capture_slots,
-)
+from repro.sim.metrics import AoIStats, SensorStats, SimulationResult
 
 #: Default size of the recency lookup table when the policy provides a
 #: recency fast path; recencies beyond it use the policy's tail value.
@@ -79,9 +75,9 @@ def policy_fast_paths(policy: ActivationPolicy, horizon: int) -> PolicyFastPaths
     """Resolve the policy's fast paths for one run (RL015 gate).
 
     This is the single place the scan layers read policy attributes:
-    the engine, the single-run kernel and the batch packer all dispatch
-    on the result, so the eligibility decision cannot drift from what
-    the scans actually consume.
+    the reference engine and the batch packer both dispatch on the
+    result, so the eligibility decision cannot drift from what the
+    scans actually consume.
     """
     table: Optional[np.ndarray] = None
     tail = 0.0
@@ -126,102 +122,6 @@ def ineligibility_reason(
     if recharge_amounts.size and float(recharge_amounts.min()) < 0:
         return "recharge sequence contains negative amounts"
     return None
-
-
-def simulate_kernel(
-    events: np.ndarray,
-    recharge_amounts: np.ndarray,
-    coins: np.ndarray,
-    table: Optional[np.ndarray],
-    tail: float,
-    slot_probs: Optional[np.ndarray],
-    full_info: bool,
-    capacity: float,
-    delta1: float,
-    delta2: float,
-    horizon: int,
-    initial: float,
-    collect_aoi: bool = True,
-) -> SimulationResult:
-    """Run the vectorized kernel on pre-drawn arrays (see module docs).
-
-    Age-of-Information statistics are closed formulas over the
-    capture-slot sequence (pure integers), so every path reproduces the
-    reference accumulation exactly; ``collect_aoi=False`` skips them.
-    """
-    if horizon == 0:
-        return _result(
-            0, 0, 0, 0, initial, 0.0, 0.0, delta1, delta2, 0,
-            aoi=aoi_from_capture_slots((), 0) if collect_aoi else None,
-        )
-    cs = np.cumsum(recharge_amounts)  # sequential, matches the scalar sum
-    n_events = int(np.count_nonzero(events))
-
-    native = get_native_scan()
-    if native is not None:
-        telemetry.count("kernel.scan.native")
-        if slot_probs is not None:
-            probs, slot_mode = np.asarray(slot_probs, dtype=np.float64), True
-        else:
-            probs, slot_mode = np.asarray(table, dtype=np.float64), False
-        activations, captures, blocked, neg, shave, raw_aoi = native.scan(
-            cs, events, coins, probs, float(tail), slot_mode, full_info,
-            capacity, delta1, delta2, initial, compute_aoi=collect_aoi,
-        )
-        aoi: Optional[AoIStats] = None
-        if collect_aoi:
-            area, area_sq, max_age, last_capture = raw_aoi
-            aoi = AoIStats(
-                area=area,
-                area_sq=area_sq,
-                max_age=max_age,
-                last_capture_slot=last_capture,
-                n_resets=captures,
-                horizon=horizon,
-            )
-        return _result(
-            activations, captures, blocked, n_events,
-            neg, shave, float(cs[-1]), delta1, delta2, horizon, aoi=aoi,
-        )
-
-    # Pure-numpy paths.  Desire is computable up front except for
-    # non-constant partial-information recency tables.
-    desire: Optional[np.ndarray] = None
-    if slot_probs is not None:
-        desire = coins < np.asarray(slot_probs, dtype=np.float64)
-    elif full_info:
-        desire = coins < _full_info_probs(events, table, tail, horizon)
-    else:
-        tsize = 0 if table is None else table.size
-        if tsize == 0:
-            desire = coins < tail
-        else:
-            tmin = float(np.min(table))
-            tmax = float(np.max(table))
-            # Constant table with tail equal to it (e.g. aggressive):
-            # expressed with inequalities to avoid float equality.
-            if tmin >= tmax and tail >= tmax and tail <= tmin:
-                desire = coins < tail
-    if desire is not None:
-        telemetry.count("kernel.scan.numpy_upfront")
-        activations, captures, blocked, neg, shave, capture_slots = (
-            _scan_upfront(
-                desire, events, cs, capacity, delta1, delta2, initial,
-            )
-        )
-    else:
-        telemetry.count("kernel.scan.numpy_partial")
-        activations, captures, blocked, neg, shave, capture_slots = (
-            _scan_partial(
-                events, cs, coins, table, tail,
-                capacity, delta1, delta2, initial,
-            )
-        )
-    aoi = aoi_from_capture_slots(capture_slots, horizon) if collect_aoi else None
-    return _result(
-        activations, captures, blocked, n_events,
-        neg, shave, float(cs[-1]), delta1, delta2, horizon, aoi=aoi,
-    )
 
 
 def _result(

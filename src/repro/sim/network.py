@@ -14,10 +14,11 @@ Backends
 ``simulate_network`` accepts ``backend="auto" | "reference" | "vectorized"``
 with the same contract as :func:`repro.sim.simulate_single`: the
 reference backend is the readable per-slot loop below, the vectorized
-backend (:mod:`repro.sim.network_kernel`) replays the identical
-arithmetic with array primitives (plus an optional compiled scan) and is
-bit-identical to it.  ``auto`` uses the kernel whenever the coordinator
-is eligible and silently falls back to the reference loop otherwise.
+backend runs the call as a batch of one through
+:func:`repro.sim.batch_kernel.simulate_network_runs` (compiled scan, or
+the numpy scans of :mod:`repro.sim.network_kernel`) and is bit-identical
+to it.  ``auto`` uses the kernel whenever the coordinator is eligible
+and falls back to the reference loop otherwise, recording why.
 
 Like the single-sensor engine, each sensor's battery is maintained in
 *reflected* form — ``battery_s = (neg_s + cum_s) - shave_s`` with
@@ -68,12 +69,34 @@ def simulate_network(
     per-slot Python loop, ``"vectorized"`` forces the fast network
     kernel (and raises :class:`SimulationError` when the coordinator is
     not eligible), ``"auto"`` uses the kernel whenever it is eligible.
-    All backends are bit-identical.
+    All backends are bit-identical.  ``"auto"`` and ``"vectorized"`` run
+    the call as a batch of one
+    (:func:`repro.sim.batch_kernel.simulate_network_runs`); the
+    reference backend draws and loops here, independent of the packer.
     """
     if backend not in BACKENDS:
         raise SimulationError(
             f"backend must be one of {BACKENDS}, got {backend!r}"
         )
+    if backend != "reference":
+        # Runtime import: batch_kernel reaches back into this module for
+        # its reference fallback.
+        from repro.sim import batch_kernel
+
+        spec = batch_kernel.NetworkRunSpec(
+            distribution=distribution,
+            coordinator=coordinator,
+            recharge=recharge,
+            capacity=capacity,
+            delta1=delta1,
+            delta2=delta2,
+            horizon=horizon,
+            seed=seed,
+            initial_energy=initial_energy,
+        )
+        with batch_kernel.recorded_as("simulate_network"):
+            return batch_kernel.simulate_network_runs([spec], backend)[0]
+
     if horizon < 0:
         raise SimulationError(f"horizon must be >= 0, got {horizon}")
     if capacity < 0:
@@ -96,40 +119,7 @@ def simulate_network(
         raise SimulationError(f"initial energy {start} outside [0, {capacity}]")
 
     coordinator.reset()
-
-    if backend != "reference":
-        from repro.sim import network_kernel
-
-        plan, reason = network_kernel.plan_or_reason(
-            coordinator, events, recharge_rows, horizon
-        )
-        if plan is not None:
-            _record_network_run(
-                "vectorized", coordinator, capacity, delta1, delta2,
-                horizon, seed,
-            )
-            with telemetry.timed("sim.simulate_network.vectorized"):
-                return network_kernel.simulate_network_kernel(
-                    events=events,
-                    recharge_rows=recharge_rows,
-                    coins=coins,
-                    plan=plan,
-                    capacity=float(capacity),
-                    delta1=float(delta1),
-                    delta2=float(delta2),
-                    horizon=horizon,
-                    initial=start,
-                )
-        if backend == "vectorized":
-            raise SimulationError(f"vectorized backend unavailable: {reason}")
-        telemetry.count("network.fallback.reference")
-        telemetry.event(
-            "backend_fallback", entry="simulate_network", reason=reason
-        )
-
-    _record_network_run(
-        "reference", coordinator, capacity, delta1, delta2, horizon, seed
-    )
+    _record_network_run(coordinator, capacity, delta1, delta2, horizon, seed)
     return _simulate_network_reference(
         coordinator=coordinator,
         events=events,
@@ -144,7 +134,6 @@ def simulate_network(
 
 
 def _record_network_run(
-    backend: str,
     coordinator: Coordinator,
     capacity: float,
     delta1: float,
@@ -152,14 +141,18 @@ def _record_network_run(
     horizon: int,
     seed: SeedLike,
 ) -> None:
-    """Emit the run-manifest event for one simulate_network call."""
+    """Emit the run-manifest event for one reference simulate_network call.
+
+    Batched calls record theirs in
+    :func:`repro.sim.batch_kernel._record_runs`, under the same entry.
+    """
     if not telemetry.enabled():
         return
-    telemetry.count(f"network.dispatch.{backend}")
+    telemetry.count("network.dispatch.reference")
     telemetry.event(
         "simulation_run",
         entry="simulate_network",
-        backend=backend,
+        backend="reference",
         coordinator=type(coordinator).__name__,
         n_sensors=int(coordinator.n_sensors),
         capacity=float(capacity),

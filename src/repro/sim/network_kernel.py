@@ -1,4 +1,4 @@
-"""Vectorized fast-path kernel for :func:`repro.sim.simulate_network`.
+"""Network dispatch plans and numpy scans for the multi-sensor path.
 
 The multi-sensor reference loop walks every slot in Python and touches
 every sensor on every slot.  For the coordinators the paper simulates —
@@ -21,12 +21,13 @@ state), so desire cannot be precomputed; the kernel then walks only the
 candidate slots (``coin < p_max``) with lazily-reflected per-sensor
 batteries — the sparse-scan pattern proven in :mod:`repro.sim.kernel`.
 
-Execution paths, fastest first:
+:func:`plan_or_reason` (an RL015 gate) turns an eligible coordinator
+into a :class:`NetworkPlan`.  :func:`repro.sim.batch_kernel.simulate_network_runs`
+— the one vectorized network path, a single ``simulate_network`` call
+being a batch of one — feeds the plans to the compiled batch scan
+(:mod:`repro.sim._native`), or, without one, runs
+:func:`simulate_network_kernel` per run:
 
-* **native scan** — when a C compiler is available
-  (:mod:`repro.sim._native`; ``REPRO_NATIVE_SCAN=0`` disables), the
-  whole slot loop runs as compiled IEEE-strict scalar code over the
-  responsibility array, handling every eligible configuration.
 * **per-sensor upfront scans** — pure numpy, for precomputable desire:
   each sensor reuses the single-sensor speculate-and-validate scan.
 * **sparse candidate scan** — pure numpy + Python, for capture-coupled
@@ -61,9 +62,7 @@ from repro.core.multi import (
 )
 from repro.core.policy import InfoModel
 from repro.devtools import telemetry
-from repro.sim._native import get_native_scan
-from repro.sim.engine import _TABLE_SLOTS
-from repro.sim.kernel import _full_info_probs, _scan_upfront
+from repro.sim.kernel import _TABLE_SLOTS, _full_info_probs, _scan_upfront
 from repro.sim.metrics import (
     AoIStats,
     SensorStats,
@@ -249,12 +248,12 @@ def simulate_network_kernel(
     horizon: int,
     initial: float,
 ) -> SimulationResult:
-    """Run the vectorized network kernel on pre-drawn arrays.
+    """Run the numpy network scans on pre-drawn arrays.
 
     RNG stream-order contract: the kernel never draws random numbers; it
     receives the exact arrays (events, coins, per-sensor recharge rows)
-    that ``simulate_network`` drew from its ``2 + N`` sub-streams, in
-    that order.
+    the batch packer drew from the run's ``2 + N`` sub-streams, in that
+    order.
     """
     n = plan.n_sensors
     if horizon == 0:
@@ -266,38 +265,6 @@ def simulate_network_kernel(
     cs = np.cumsum(recharge_rows, axis=1)
     n_events = int(np.count_nonzero(events))
     harvested = [float(cs[s, -1]) for s in range(n)]
-
-    native = get_native_scan()
-    if native is not None:
-        telemetry.count("network_kernel.scan.native")
-        if plan.slot_probs is not None:
-            probs, slot_mode = plan.slot_probs, True
-        else:
-            probs = plan.table if plan.table is not None else np.empty(0)
-            slot_mode = False
-        counts, state, raw_aoi = native.scan_network(
-            cs, events, coins, plan.resp, np.asarray(probs, dtype=np.float64),
-            plan.tail, slot_mode, plan.full_info,
-            capacity, delta1, delta2, initial,
-        )
-        captures = [int(counts[s, 1]) for s in range(n)]
-        aoi = AoIStats(
-            area=int(raw_aoi[0]),
-            area_sq=int(raw_aoi[1]),
-            max_age=int(raw_aoi[2]),
-            last_capture_slot=int(raw_aoi[3]),
-            n_resets=sum(captures),
-            horizon=horizon,
-        )
-        return _network_result(
-            [int(counts[s, 0]) for s in range(n)],
-            captures,
-            [int(counts[s, 2]) for s in range(n)],
-            [float(state[s, 0]) for s in range(n)],
-            [float(state[s, 1]) for s in range(n)],
-            harvested, n_events, delta1, delta2, horizon,
-            [int(counts[s, 3]) for s in range(n)], aoi,
-        )
 
     # Pure-numpy paths.  Desire is computable up front except for
     # non-constant partial-information recency tables.

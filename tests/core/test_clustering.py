@@ -147,3 +147,31 @@ class TestOptimizer:
         sol = optimize_clustering(d, 0.5, DELTA1, DELTA2)
         p = sol.policy
         assert p.activation_probability(1, 2) > p.activation_probability(1, 1) - 1e-9
+
+    def test_top_k_must_be_positive(self, small_weibull):
+        with pytest.raises(PolicyError, match="top_k"):
+            optimize_clustering(small_weibull, 0.5, DELTA1, DELTA2, top_k=0)
+
+    def test_infeasible_finalists_fall_through_to_next_ranked(self):
+        """Regression: every one of the ``top_k`` finalists of this
+        re-solve turned infeasible at full tolerance, and the search
+        raised "screened structures all became infeasible" instead of
+        trying the next-ranked structures.  The input is the chunk-3
+        re-solve of a partial-information adaptive trajectory on
+        W(20, 3), constant recharge 0.5, capacity 200, seed 5004."""
+        from repro.adaptive import AdaptiveController
+        from repro.analysis.partial_info import clear_analysis_cache
+        from repro.energy import ConstantRecharge
+        from repro.events import WeibullInterArrival
+        from repro.sim import ChunkedSimulator
+
+        clear_analysis_cache()
+        sim = ChunkedSimulator(
+            WeibullInterArrival(20, 3), ConstantRecharge(0.5),
+            capacity=200.0, delta1=DELTA1, delta2=DELTA2,
+            total_horizon=6000, seed=5004, full_info=False,
+        )
+        controller = AdaptiveController(sim, e=0.5, chunk_slots=2000)
+        for _ in range(3):
+            controller.step()
+        assert len(controller.history) == 3

@@ -30,9 +30,12 @@ from repro.energy.recharge import BernoulliRecharge, ConstantRecharge
 from repro.events.spec import parse_distribution
 from repro.serve import PolicyService, ServerThread
 from repro.serve.policies import policy_from_payload
+from repro.exceptions import RequestTooLargeError
 from repro.serve.schema import (
     ERROR_RESPONSE_SCHEMA,
     HEALTH_RESPONSE_SCHEMA,
+    MAX_HORIZON,
+    MAX_SWEEP_CELLS,
     SIMULATE_RESPONSE_SCHEMA,
     SOLVE_RESPONSE_SCHEMA,
     SWEEP_RESPONSE_SCHEMA,
@@ -278,6 +281,59 @@ class TestSweep:
         assert status == 200  # NaN CI fields must not leak into JSON
         assert body["qom"]["std_error"] == 0.0
         assert body["qom"]["ci_low"] == body["qom"]["mean"]
+
+
+class TestInputBounds:
+    def test_simulate_horizon_above_maximum_is_400(self, server):
+        request = _base_request(capacity=CAPACITY, horizon=10**12, seed=1)
+        status, body = _request(server, "POST", "/simulate", request)
+        assert status == 400
+        validate(body, ERROR_RESPONSE_SCHEMA, "error")
+        assert "maximum" in body["error"]
+
+    def test_sweep_horizon_above_maximum_is_400(self, server):
+        request = _base_request(
+            capacity=CAPACITY, horizon=MAX_HORIZON + 1, n_runs=1
+        )
+        status, body = _request(server, "POST", "/sweep", request)
+        assert status == 400
+        assert "maximum" in body["error"]
+
+    def test_sweep_over_cell_budget_is_413(self, server):
+        n_runs = MAX_SWEEP_CELLS // MAX_HORIZON + 1
+        request = _base_request(
+            capacity=CAPACITY, horizon=MAX_HORIZON, n_runs=n_runs
+        )
+        status, body = _request(server, "POST", "/sweep", request)
+        assert status == 413
+        validate(body, ERROR_RESPONSE_SCHEMA, "error")
+        assert body["kind"] == "RequestTooLargeError"
+
+    def test_sweep_rejected_before_any_work(self, monkeypatch):
+        """The budget check precedes the solve and every allocation."""
+        from repro.serve import service as service_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("rejected sweep reached the simulator")
+
+        monkeypatch.setattr(service_mod, "simulate_batch", boom)
+        monkeypatch.setattr(service_mod, "spawn_seeds", boom)
+        service = PolicyService(batch_window_ms=1.0)
+        request = _base_request(
+            capacity=CAPACITY, horizon=1000, n_runs=MAX_SWEEP_CELLS // 1000 + 1
+        )
+        try:
+            with pytest.raises(RequestTooLargeError):
+                asyncio.run(service.sweep(request))
+        finally:
+            service.close()
+        assert service.stats["sweep.rejected_too_large"] == 1
+        assert "solve.computed" not in service.stats
+
+    def test_budget_is_far_above_typical_requests(self):
+        # 20k-slot simulations and 8 x 20k sweeps are ordinary traffic.
+        assert MAX_HORIZON >= 50 * 20_000
+        assert MAX_SWEEP_CELLS >= 50 * 8 * 20_000
 
 
 class TestCoalescing:

@@ -1,10 +1,13 @@
-"""Bit-identity of the batched kernel against per-run entry points.
+"""Bit-identity of the batched kernel against the reference loops.
 
-``simulate_batch(specs)[i]`` must equal ``simulate_single(**specs[i])``
-bit-for-bit, and ``simulate_network_runs`` likewise against
+``simulate_batch(specs)[i]`` must equal
+``simulate_single(**specs[i], backend="reference")`` bit-for-bit, and
+``simulate_network_runs`` likewise against the reference
 ``simulate_network`` — across policies, info models, ragged horizons,
 mixed eligibility, and both scan implementations (forced via the
-``REPRO_NATIVE_SCAN`` environment flag).
+``REPRO_NATIVE_SCAN`` environment flag).  The default single-run
+backends are a batch of one, so only the reference backend, which
+draws and loops on its own, is an independent check.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def kernel_impl(request, monkeypatch):
     return request.param
 
 
-def _single_of(spec: RunSpec, backend: str = "auto"):
+def _reference_single(spec: RunSpec):
     return simulate_single(
         distribution=spec.distribution,
         policy=spec.policy,
@@ -63,11 +66,11 @@ def _single_of(spec: RunSpec, backend: str = "auto"):
         seed=spec.seed,
         initial_energy=spec.initial_energy,
         collect_battery_trace=spec.collect_battery_trace,
-        backend=backend,
+        backend="reference",
     )
 
 
-def _network_of(spec: NetworkRunSpec, backend: str = "auto"):
+def _reference_network(spec: NetworkRunSpec):
     return simulate_network(
         distribution=spec.distribution,
         coordinator=spec.coordinator,
@@ -78,7 +81,7 @@ def _network_of(spec: NetworkRunSpec, backend: str = "auto"):
         horizon=spec.horizon,
         seed=spec.seed,
         initial_energy=spec.initial_energy,
-        backend=backend,
+        backend="reference",
     )
 
 
@@ -117,7 +120,7 @@ class TestBatchBitIdentity:
             for seed, policy in enumerate(_policies(weibull))
         ]
         batch = simulate_batch(specs)
-        singles = [_single_of(s) for s in specs]
+        singles = [_reference_single(s) for s in specs]
         assert batch == singles
 
     def test_ragged_horizons_and_capacities(self, weibull, kernel_impl):
@@ -132,7 +135,7 @@ class TestBatchBitIdentity:
                 zip(horizons, [40.0, 0.0, 6.9, 1000.0, 40.0])
             )
         ]
-        assert simulate_batch(specs) == [_single_of(s) for s in specs]
+        assert simulate_batch(specs) == [_reference_single(s) for s in specs]
 
     def test_seed_kinds_match_per_run(self, weibull, kernel_impl):
         """Int, SeedSequence, spawned-child and huge-entropy seeds."""
@@ -149,7 +152,7 @@ class TestBatchBitIdentity:
             _spec(weibull, AggressivePolicy(), seed=s, horizon=200)
             for s in seeds
         ]
-        assert simulate_batch(specs) == [_single_of(s) for s in specs]
+        assert simulate_batch(specs) == [_reference_single(s) for s in specs]
 
     def test_mixed_eligibility_preserves_order(self, weibull, kernel_impl):
         """Ineligible runs peel to the reference loop, in place."""
@@ -160,7 +163,7 @@ class TestBatchBitIdentity:
             _spec(weibull, AggressivePolicy(), seed=2),
         ]
         batch = simulate_batch(specs)
-        singles = [_single_of(s) for s in specs]
+        singles = [_reference_single(s) for s in specs]
         assert batch == singles
 
     def test_battery_trace_runs_match(self, weibull, kernel_impl):
@@ -170,7 +173,7 @@ class TestBatchBitIdentity:
             horizon=120,
         )
         (got,) = simulate_batch([spec])
-        want = _single_of(spec)
+        want = _reference_single(spec)
         assert got.sensors == want.sensors
         assert got.n_events == want.n_events
         np.testing.assert_array_equal(got.battery_trace, want.battery_trace)
@@ -181,7 +184,7 @@ class TestBatchBitIdentity:
             for i, p in enumerate(_policies(weibull)[:3])
         ]
         assert simulate_batch(specs, backend="reference") == [
-            _single_of(s, backend="reference") for s in specs
+            _reference_single(s) for s in specs
         ]
 
     def test_constant_recharge_overflow(self, weibull, kernel_impl):
@@ -189,7 +192,7 @@ class TestBatchBitIdentity:
             weibull, AggressivePolicy(), recharge=ConstantRecharge(2.0),
             capacity=10.0,
         )
-        assert simulate_batch([spec]) == [_single_of(spec)]
+        assert simulate_batch([spec]) == [_reference_single(spec)]
 
     def test_empty_batch(self, kernel_impl):
         assert simulate_batch([]) == []
@@ -226,7 +229,7 @@ class TestBatchBitIdentity:
             _spec(weibull, AggressivePolicy(), seed=s, horizon=300)
             for s in spawn_seeds(7, m)
         ]
-        assert simulate_batch(specs) == [_single_of(s) for s in specs]
+        assert simulate_batch(specs) == [_reference_single(s) for s in specs]
 
 
 class TestBatchDispatch:
@@ -282,7 +285,7 @@ class TestNetworkRuns:
             )
         ]
         batch = simulate_network_runs(specs)
-        singles = [_network_of(s) for s in specs]
+        singles = [_reference_network(s) for s in specs]
         assert batch == singles
 
     def test_reference_backend_matches(self, weibull, kernel_impl):
@@ -290,7 +293,7 @@ class TestNetworkRuns:
             weibull, MultiAggressiveCoordinator(2), horizon=200
         )
         assert simulate_network_runs([spec], backend="reference") == [
-            _network_of(spec, backend="reference")
+            _reference_network(spec)
         ]
 
     def test_empty(self, kernel_impl):
@@ -343,4 +346,4 @@ class TestPropertyBased:
                 del os.environ["REPRO_NATIVE_SCAN"]
             else:
                 os.environ["REPRO_NATIVE_SCAN"] = previous
-        assert batch == [_single_of(s) for s in specs]
+        assert batch == [_reference_single(s) for s in specs]

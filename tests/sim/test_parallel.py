@@ -12,12 +12,12 @@ from repro.sim import (
     parallel_map,
     replicate,
     resolve_n_jobs,
+    simulate_network,
     simulate_network_batch,
     simulate_single,
     spawn_seeds,
 )
 from repro.sim import parallel as parallel_mod
-from repro.sim.parallel import last_dispatch
 from repro.devtools import telemetry
 from repro.core import MultiAggressiveCoordinator
 
@@ -137,14 +137,6 @@ class TestAutoSerialDispatch:
         assert record["error"] is True
         assert record["items"] == 2
 
-    def test_last_dispatch_shim_warns_and_matches(self):
-        """The deprecated module-level accessor still returns the record."""
-        parallel_map(lambda x: x, [1, 2, 3])
-        with pytest.warns(DeprecationWarning, match="last_dispatch"):
-            record = last_dispatch()
-        assert record == telemetry.last_dispatch_record()
-        assert record["mode"] == "serial"
-
 
 class TestParallelMap:
     def test_matches_serial_comprehension(self):
@@ -219,3 +211,70 @@ class TestNetworkBatch:
         )
         assert batch == serial
         assert all(r.n_sensors == 3 for r in batch)
+        assert serial == [
+            simulate_network(
+                weibull, MultiAggressiveCoordinator(3),
+                BernoulliRecharge(0.5, 1.0),
+                capacity=100.0, delta1=DELTA1, delta2=DELTA2,
+                horizon=1_000, seed=seed, backend="reference",
+            )
+            for seed in seeds
+        ]
+
+
+_FORK_AFTER_BATCH = """
+import numpy as np
+from repro.core import AggressivePolicy
+from repro.energy import BernoulliRecharge
+from repro.events import WeibullInterArrival
+from repro.sim import RunSpec, replicate, simulate_batch
+from repro.sim import parallel
+
+spec = RunSpec(
+    distribution=WeibullInterArrival(40, 3), policy=AggressivePolicy(),
+    recharge=BernoulliRecharge(0.5, 1.0), capacity=60.0, delta1=1.0,
+    delta2=6.0, horizon=5_000,
+)
+simulate_batch([spec] * 8)
+parallel.PARALLEL_MIN_FORK_SECONDS = 0.0
+forked = replicate(spec, n_replicates=4, base_seed=3, n_jobs=2)
+serial = replicate(spec, n_replicates=4, base_seed=3)
+assert forked.values == serial.values, (forked.values, serial.values)
+print("ok")
+"""
+
+
+class TestForkSafety:
+    def test_forked_workers_after_a_batch_finish(self):
+        """Regression: with the batch scan threaded by OpenMP, a
+        ``--jobs`` worker forked after the parent ran one batch hung
+        forever in its first scan (the child inherits a thread team it
+        cannot use).  Run in a fresh interpreter with
+        ``OMP_NUM_THREADS`` unset so the default team size applies."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+        src = os.path.abspath(
+            os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        )
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        # A session of its own, so a hang can be killed with the pool
+        # workers it forked.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _FORK_AFTER_BATCH], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("forked replicate hung after a batch in the parent")
+        assert proc.returncode == 0, err
+        assert out.strip() == "ok"
